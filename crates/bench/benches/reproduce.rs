@@ -17,7 +17,7 @@ use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_core::experiments::SEED;
-use uecgra_core::pipeline::{run_kernel, Policy};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_dfg::kernels::{self, synthetic};
 use uecgra_model::sweep::sweep_group_modes;
 use uecgra_model::{DfgSimulator, SimConfig};
@@ -137,7 +137,7 @@ fn bench_pipeline() {
             "pipeline_end_to_end",
             &policy.label().replace(' ', "_"),
             10,
-            || run_kernel(&k, policy, SEED).unwrap(),
+            || RunRequest::new(&k).policy(policy).seed(SEED).run().unwrap(),
         );
     }
 }

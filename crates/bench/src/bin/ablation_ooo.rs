@@ -5,7 +5,7 @@
 //! memory disambiguation) and compares against the in-order core and
 //! the UE-CGRA POpt fabric.
 
-use uecgra_bench::{engine_arg, header, json_path, r2, write_reports};
+use uecgra_bench::{header, json_path, r2, write_reports};
 use uecgra_core::experiments::SEED;
 use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_core::report::{metrics_report, run_report};
@@ -13,6 +13,7 @@ use uecgra_dfg::kernels;
 use uecgra_system::{programs, run_ooo, OooParams};
 
 fn main() {
+    let json = json_path();
     header("Ablation: idealized out-of-order core vs UE-CGRA (cycles per iteration)");
     println!(
         "{:<8} {:>9} {:>9} {:>10} | {:>9} {:>9}",
@@ -39,7 +40,6 @@ fn main() {
         let popt = RunRequest::new(&k)
             .policy(Policy::UePerfOpt)
             .seed(SEED)
-            .engine(engine_arg())
             .run()
             .expect("runs");
         let iters = k.iters as f64;
@@ -64,7 +64,7 @@ fn main() {
             &popt,
         ));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         reports.push(metrics_report("ablation_ooo", metrics));
         write_reports(&path, &reports);
     }

@@ -6,7 +6,7 @@
 //! physically-constrained mapping the paper leaves as future work).
 //! This binary quantifies what that buys.
 
-use uecgra_bench::{engine_arg, header, json_path, r2, write_reports};
+use uecgra_bench::{header, json_path, r2, write_reports};
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
@@ -21,11 +21,12 @@ fn measure(k: &uecgra_dfg::Kernel, modes: &[VfMode], mapped: &MappedKernel) -> f
         marker: Some(mapped.coord_of(k.iter_marker)),
         ..FabricConfig::default()
     };
-    let act = Fabric::new(&bs, k.mem.clone(), config).run_with(engine_arg());
+    let act = Fabric::new(&bs, k.mem.clone(), config).run();
     act.steady_ii(8).expect("steady state")
 }
 
 fn main() {
+    let json = json_path();
     header("Ablation: POpt speedup with logical vs routing-aware MeasureEnergyDelay");
     println!(
         "{:<8} {:>8} {:>10} {:>10} {:>12}",
@@ -70,7 +71,7 @@ fn main() {
         metrics.push((format!("{}_speedup_logical", k.name), e_ii / ii_logical));
         metrics.push((format!("{}_speedup_routed", k.name), e_ii / ii_routed));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("ablation_routing_aware", metrics)]);
     }
     println!("\nSeeing routed latencies lets the mapper sprint the cycles that are");

@@ -31,6 +31,7 @@ fn clock_grid(bs: &Bitstream) -> Vec<Vec<Option<VfMode>>> {
 }
 
 fn main() {
+    let json = json_path();
     header("Ablation: clock power vs array size (dither POpt mapping, mW)");
     println!(
         "{:<8} {:>10} {:>12} {:>12} {:>14}",
@@ -81,7 +82,7 @@ fn main() {
         metrics.push((format!("{dim}x{dim}_ungated_clock_mw"), *ungated_mw));
         metrics.push((format!("{dim}x{dim}_gated_clock_mw"), *gated_mw));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("ablation_scaling", metrics)]);
     }
     println!("\nThe kernel occupies the same clusters regardless of array size, so");

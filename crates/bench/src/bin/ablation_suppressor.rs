@@ -6,7 +6,7 @@
 //! sprints. The elasticity-aware suppressor lets aged tokens cross on
 //! unsafe edges, keeping mixed-clock mappings at full throughput.
 
-use uecgra_bench::{engine_arg, header, json_path, write_reports};
+use uecgra_bench::{header, json_path, write_reports};
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
@@ -16,6 +16,7 @@ use uecgra_dfg::kernels;
 use uecgra_rtl::fabric::{Fabric, FabricConfig, SuppressorKind};
 
 fn main() {
+    let json = json_path();
     header("Ablation: suppressor flavor vs throughput (iterations completed)");
     println!(
         "{:<8} {:>12} {:>14} {:>14}",
@@ -37,9 +38,7 @@ fn main() {
                 max_ticks: 300_000,
                 ..FabricConfig::default()
             };
-            Fabric::new(&bs, k.mem.clone(), config)
-                .run_with(engine_arg())
-                .iterations()
+            Fabric::new(&bs, k.mem.clone(), config).run().iterations()
         };
         let sprints = pm
             .node_modes
@@ -57,7 +56,7 @@ fn main() {
         metrics.push((format!("{}_traditional_iters", k.name), traditional as f64));
         metrics.push((format!("{}_sprint_nodes", k.name), sprints as f64));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("ablation_suppressor", metrics)]);
     }
     println!("\nTraditional suppression deadlocks the POpt mappings: crossings into");

@@ -23,6 +23,7 @@ use uecgra_rtl::fabric::{Fabric, FabricConfig};
 const N: usize = 200;
 
 fn main() {
+    let json = json_path();
     header("Ablation: one vs two dither instances on one 8x8 fabric");
 
     // Instance 0: the library kernel (src @ 16, dst @ dst_base).
@@ -77,7 +78,7 @@ fn main() {
     println!("UE-CGRA benefits are intra-kernel and compose with this replication,");
     println!("exactly the paper's Section VIII-C argument.");
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let report = metrics_report(
             "ablation_unroll",
             vec![
@@ -101,6 +102,6 @@ fn run(dfg: &uecgra_dfg::Dfg, marker: uecgra_dfg::NodeId, mem: Vec<u32>) -> (f64
         marker: Some(mapped.coord_of(marker)),
         ..FabricConfig::default()
     };
-    let act = Fabric::new(&bs, mem, config).run_with(uecgra_bench::engine_arg());
+    let act = Fabric::new(&bs, mem, config).run();
     (act.steady_ii(8).expect("steady"), mapped.utilization())
 }

@@ -13,26 +13,27 @@
 //! Flags:
 //!
 //! * `--json <path>` — write one schema-v3 report per kernel (dse
-//!   section only; no timings, no engine tag, so the bytes are
-//!   identical at any `UECGRA_THREADS` and across cold/warm caches).
-//! * `--engine dense|event` — accepted for `reproduce_all` harness
-//!   compatibility and ignored: the explorer is analytical, so the
-//!   report has no engine dependence (the harness's cross-engine
-//!   byte-compare then passes trivially, which is the point).
+//!   section only; no timings, so the bytes are identical at any
+//!   `UECGRA_THREADS` and across cold/warm caches).
 //! * `--cache <path>` — persistent evaluation cache (loaded if
 //!   present, saved back after the sweep).
 //! * `--budget <N>` — unique-evaluation budget per kernel.
 //! * `--rtl-check` — cross-check every kernel's best assignment on
-//!   both cycle-level engines against the host reference (slow;
-//!   off by default).
+//!   the fabric and its dense oracle against the host reference
+//!   (slow; off by default).
+//!
+//! A malformed command line is a usage error (exit status 2).
 
-use uecgra_bench::{evaluation_kernels, header, json_path, write_reports};
+use uecgra_bench::{evaluation_kernels, header, usage_error, write_reports};
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_core::experiments::SEED;
 use uecgra_dse::{explore, rtl_crosscheck, DseConfig, EvalCache};
 use uecgra_probe::RunReport;
 
+const USAGE: &str = "[--json <path>] [--cache <path>] [--budget N] [--rtl-check]";
+
 struct Flags {
+    json: Option<String>,
     cache: Option<String>,
     budget: usize,
     rtl_check: bool,
@@ -40,28 +41,28 @@ struct Flags {
 
 fn flags() -> Flags {
     let mut f = Flags {
+        json: None,
         cache: None,
         budget: 256,
         rtl_check: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value"), USAGE))
+        };
         match flag.as_str() {
-            "--cache" => f.cache = Some(argv.next().expect("--cache needs a value")),
+            "--json" => f.json = Some(value()),
+            "--cache" => f.cache = Some(value()),
             "--budget" => {
-                f.budget = argv
-                    .next()
-                    .expect("--budget needs a value")
-                    .parse()
-                    .expect("--budget must be a positive integer");
-                assert!(f.budget > 0, "--budget must be at least 1");
+                f.budget = match value().parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage_error("--budget must be a positive integer", USAGE),
+                }
             }
             "--rtl-check" => f.rtl_check = true,
-            // --json/--engine are read by the shared helpers.
-            "--json" | "--engine" => {
-                argv.next();
-            }
-            other => panic!("unknown flag {other:?}"),
+            other => usage_error(&format!("unknown argument {other:?}"), USAGE),
         }
     }
     f
@@ -136,7 +137,7 @@ fn main() {
         cache.save(path).expect("saving evaluation cache");
         eprintln!("wrote {} cache entries to {path}", cache.len());
     }
-    if let Some(path) = json_path() {
-        write_reports(&path, &reports);
+    if let Some(path) = &f.json {
+        write_reports(path, &reports);
     }
 }

@@ -2,21 +2,21 @@
 //! CRC-32 (load-carried recurrence), SpMV row gather, and max-scan
 //! (data-dependent control), showing the stack generalizes.
 
-use uecgra_bench::{engine_arg, header, json_path, kernel_run_reports, r2, write_reports};
-use uecgra_core::experiments::{run_all_policies_with, SEED};
+use uecgra_bench::{header, json_path, kernel_run_reports, r2, write_reports};
+use uecgra_core::experiments::{run_all_policies, SEED};
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels::extra::extra_kernels;
 
 fn main() {
+    let json = json_path();
     header("Extension kernels: UE-CGRA vs E-CGRA (relative)");
     println!(
         "{:<9} {:>6} {:>7} | {:>9} {:>9} | {:>9} {:>9}",
         "kernel", "ideal", "real", "EOpt perf", "EOpt eff", "POpt perf", "POpt eff"
     );
     let mut reports = Vec::new();
-    let engine = engine_arg();
     for k in extra_kernels(400) {
-        let runs = run_all_policies_with(&k, SEED, engine).expect("kernel runs");
+        let runs = run_all_policies(&k, SEED).expect("kernel runs");
         let row = runs.table2_row();
         println!(
             "{:<9} {:>6} {:>7} | {:>9} {:>9} | {:>9} {:>9}",
@@ -41,7 +41,7 @@ fn main() {
             ],
         ));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &reports);
     }
     println!("\ncrc32 behaves like llist (a load on the recurrence: only DVFS helps);");

@@ -1,8 +1,8 @@
 //! Seeded fault-injection campaign over the Table II kernels.
 //!
 //! ```text
-//! fault_campaign [--seed N] [--per-kernel N] [--engine dense|event]
-//!                [--disable-faults] [--full] [--json out.json]
+//! fault_campaign [--seed N] [--per-kernel N] [--disable-faults]
+//!                [--full] [--json out.json]
 //! ```
 //!
 //! Injects `--per-kernel` deterministic faults (rotating through all
@@ -12,10 +12,16 @@
 //! which must be entirely clean. The process exits nonzero when the
 //! gate fails: any abort, any silent corruption, or any control-leg
 //! violation. `--json` writes the schema-v2 `fault_campaign` report.
+//! A malformed command line is a usage error (exit status 2).
 
 use uecgra_bench::campaign::{campaign_report, gate_passes, run_campaign, CampaignConfig};
-use uecgra_bench::{header, quick_kernels, write_reports};
-use uecgra_core::pipeline::Engine;
+use uecgra_bench::{header, quick_kernels, usage_error, write_reports};
+
+const USAGE: &str = "[--seed N] [--per-kernel N] [--disable-faults] [--full] [--json out.json]";
+
+fn not_an_integer(flag: &str) -> ! {
+    usage_error(&format!("{flag}: not an integer"), USAGE)
+}
 
 fn parse_flags() -> (CampaignConfig, bool, Option<String>) {
     let mut config = CampaignConfig::default();
@@ -25,22 +31,19 @@ fn parse_flags() -> (CampaignConfig, bool, Option<String>) {
     while let Some(flag) = argv.next() {
         let mut value = || {
             argv.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value"), USAGE))
         };
         match flag.as_str() {
-            "--seed" => config.seed = value().parse().expect("--seed: not an integer"),
+            "--seed" => config.seed = value().parse().unwrap_or_else(|_| not_an_integer("--seed")),
             "--per-kernel" => {
-                config.per_kernel = value().parse().expect("--per-kernel: not an integer")
-            }
-            "--engine" => {
-                let v = value();
-                config.engine = Engine::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event)"));
+                config.per_kernel = value()
+                    .parse()
+                    .unwrap_or_else(|_| not_an_integer("--per-kernel"))
             }
             "--disable-faults" => config.faults_enabled = false,
             "--full" => full = true,
             "--json" => json = Some(value()),
-            other => panic!("unknown flag {other}"),
+            other => usage_error(&format!("unknown argument {other:?}"), USAGE),
         }
     }
     (config, full, json)

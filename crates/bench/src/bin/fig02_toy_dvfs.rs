@@ -37,6 +37,7 @@ fn run(clocks: ClockSet, label: &str, rest_a: bool, sprint_cycle: bool) -> f64 {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 2: toy DFG with a three-node cycle (paper: 3 / 3 / 2 cycles)");
     let ii_a = run(ClockSet::default(), "(a) all nominal", false, false);
     let ii_b = run(
@@ -52,7 +53,7 @@ fn main() {
         true,
         true,
     );
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let report = metrics_report(
             "fig02_toy_dvfs",
             vec![

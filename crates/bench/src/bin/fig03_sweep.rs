@@ -7,6 +7,7 @@ use uecgra_dfg::kernels::synthetic;
 use uecgra_model::sweep::sweep_group_modes;
 
 fn main() {
+    let json = json_path();
     let cs = synthetic::fig3_case_study();
     let sweep = sweep_group_modes(&cs.dfg, vec![0; 4096], cs.iter_marker);
     header("Figure 3: VF sweep over the 13-node case-study DFG");
@@ -39,7 +40,7 @@ fn main() {
         println!("  {:>5}  {:>5}", r2(p.speedup), r2(p.efficiency));
     }
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut metrics = vec![
             ("configurations".into(), sweep.points.len() as f64),
             ("circled_speedup".into(), circled.speedup),

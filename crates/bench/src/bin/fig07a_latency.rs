@@ -23,6 +23,7 @@ fn throughput(n_or_chain: Option<usize>, hop: u32) -> f64 {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 7(a): throughput vs inter-PE latency (iterations/cycle)");
     println!(
         "{:<12} {:>8} {:>8} {:>8}",
@@ -47,7 +48,7 @@ fn main() {
             metrics.push((format!("{label}_hop{hop}_throughput"), *thpt));
         }
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("fig07a_latency", metrics)]);
     }
     println!("\nPaper: two-cycle synchronization latency (async FIFOs) degrades");

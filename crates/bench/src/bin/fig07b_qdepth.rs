@@ -26,6 +26,7 @@ fn throughput(n_or_chain: Option<usize>, depth: usize) -> f64 {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 7(b): throughput vs queue depth (iterations/cycle)");
     let depths = [1usize, 2, 3, 4, 8];
     print!("{:<12}", "benchmark");
@@ -73,7 +74,7 @@ fn main() {
                 queue_capacity: d,
                 ..FabricConfig::default()
             };
-            let act = Fabric::new(&bs, vec![], config).run_with(uecgra_bench::engine_arg());
+            let act = Fabric::new(&bs, vec![], config).run();
             let ii = act.steady_ii(20).expect("steady state");
             metrics.push((format!("rtl_cycle-{n}_depth{d}_throughput"), 1.0 / ii));
             print!(" {:>8.3}", 1.0 / ii);
@@ -81,7 +82,7 @@ fn main() {
         println!();
     }
     println!("(routed rings run at their placed length, still depth-insensitive)");
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("fig07b_qdepth", metrics)]);
     }
 }

@@ -26,6 +26,7 @@ fn throughput(n: usize, sprint_div: u32) -> f64 {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 7(c): throughput vs sprint frequency (iterations/cycle)");
     let sweeps = [(6u32, 1.0), (5, 1.2), (4, 1.5), (3, 2.0), (2, 3.0)];
     print!("{:<12}", "benchmark");
@@ -43,7 +44,7 @@ fn main() {
         }
         println!();
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("fig07c_sprint", metrics)]);
     }
     println!("\nPaper: speedup is linear in sprint frequency until the producer-rate");

@@ -6,6 +6,7 @@ use uecgra_core::report::metrics_report;
 use uecgra_vlsi::area::{pe_area, CgraKind, FIG10_CYCLE_TIMES};
 
 fn main() {
+    let json = json_path();
     header("Figure 10: PE area (um^2) vs cycle time (ns), TSMC 28 nm model");
     print!("{:<10}", "cycle ns");
     for kind in CgraKind::ALL {
@@ -30,7 +31,7 @@ fn main() {
         (e / ie - 1.0) * 100.0,
         (ue / ie - 1.0) * 100.0
     );
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         metrics.push(("e_overhead_pct".into(), (e / ie - 1.0) * 100.0));
         metrics.push(("ue_overhead_pct".into(), (ue / ie - 1.0) * 100.0));
         write_reports(&path, &[metrics_report("fig10_pe_area", metrics)]);

@@ -7,6 +7,7 @@ use uecgra_vlsi::area::{component_areas, pe_area_reference, CgraKind};
 use uecgra_vlsi::energy::figure11_bars;
 
 fn main() {
+    let json = json_path();
     let mut metrics = Vec::new();
     header("Figure 11 (left): PE energy per op at nominal VF (pJ)");
     println!("{:<8} {:>8} {:>8}", "op", "E-CGRA", "UE-CGRA");
@@ -31,7 +32,7 @@ fn main() {
             pe_area_reference(kind),
         ));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("fig11_breakdown", metrics)]);
     }
 }

@@ -6,6 +6,7 @@ use uecgra_vlsi::area::{CgraKind, REFERENCE_CYCLE_NS};
 use uecgra_vlsi::layout::{array_area_um2, edge_um};
 
 fn main() {
+    let json = json_path();
     header("Figure 12: 8x8 CGRA layout at 750 MHz in TSMC 28 nm");
     println!(
         "{:<10} {:>12} {:>14}   paper",
@@ -28,7 +29,7 @@ fn main() {
             array_area_um2(*kind, 64, REFERENCE_CYCLE_NS),
         ));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("fig12_layout", metrics)]);
     }
 }

@@ -2,9 +2,9 @@
 //! E-CGRA and both UE-CGRA mappings, rendered as ASCII heat maps with
 //! DVFS-mode glyphs.
 
-use uecgra_bench::{engine_arg, header, json_path, kernel_run_reports, write_reports};
+use uecgra_bench::{header, json_path, kernel_run_reports, write_reports};
 use uecgra_clock::VfMode;
-use uecgra_core::experiments::{energy_contour, run_all_policies_many_with, SEED};
+use uecgra_core::experiments::{energy_contour, run_all_policies_many, SEED};
 use uecgra_core::pipeline::CgraRun;
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
@@ -48,6 +48,7 @@ fn print_contour(run: &CgraRun, label: &'static str) {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 14: PE energy contours (llist, dither)");
     // Both kernels × all three policies fan out across worker threads;
     // rendering stays on the main thread in input order, so the output
@@ -56,14 +57,14 @@ fn main() {
         kernels::llist::build_with_hops(400),
         kernels::dither::build_with_pixels(400),
     ];
-    let all = run_all_policies_many_with(&ks, SEED, engine_arg()).expect("kernels run");
+    let all = run_all_policies_many(&ks, SEED).expect("kernels run");
     for runs in &all {
         println!("\n=== {} ===", runs.kernel.name);
         print_contour(&runs.e, "E-CGRA");
         print_contour(&runs.popt, "UE-CGRA POpt");
         print_contour(&runs.eopt, "UE-CGRA EOpt");
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut reports = Vec::new();
         for runs in &all {
             reports.extend(kernel_run_reports(runs));

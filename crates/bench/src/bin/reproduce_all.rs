@@ -17,18 +17,10 @@
 //! flag). The aggregate inherits the children's determinism: no
 //! wall-clock timings are embedded, so the bytes are identical at any
 //! `UECGRA_THREADS` setting.
-//!
-//! `--engine dense|event|both` selects the fabric engine the children
-//! simulate with (default `both`): the suite runs once per engine and
-//! the harness asserts every child's report document is *byte-
-//! identical* across engines — the end-to-end differential check for
-//! the two-engines-one-contract invariant (DESIGN.md §11) — before
-//! aggregating the event leg's reports.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use uecgra_bench::json_path;
-use uecgra_core::pipeline::Engine;
 use uecgra_probe::RunReport;
 
 const BINS: [&str; 20] = [
@@ -54,38 +46,14 @@ const BINS: [&str; 20] = [
     "dse_sweep",
 ];
 
-/// This harness's own `--engine`, which (unlike the children's) also
-/// accepts `both`.
-fn engine_choice() -> Vec<Engine> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--engine" {
-            let v = argv.next().expect("--engine needs a value");
-            if v == "both" {
-                return Engine::ALL.to_vec();
-            }
-            let e = Engine::parse(&v)
-                .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event|both)"));
-            return vec![e];
-        }
-    }
-    Engine::ALL.to_vec()
-}
-
-/// Run every reproduction binary under one engine; returns each
-/// child's captured output and the raw bytes of its report document.
-fn run_suite(
-    self_path: &std::path::Path,
-    scratch: &std::path::Path,
-    engine: Engine,
-) -> Vec<(Output, String)> {
+/// Run every reproduction binary; returns each child's captured
+/// output and the raw bytes of its report document.
+fn run_suite(self_path: &std::path::Path, scratch: &std::path::Path) -> Vec<(Output, String)> {
     let results: Vec<(Output, PathBuf)> = uecgra_core::par::par_map(&BINS, |bin| {
-        let report = scratch.join(format!("{bin}-{}.json", engine.label()));
+        let report = scratch.join(format!("{bin}.json"));
         let out = Command::new(self_path.with_file_name(bin))
             .arg("--json")
             .arg(&report)
-            .arg("--engine")
-            .arg(engine.label())
             .env("UECGRA_THREADS", "1")
             .output()
             .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
@@ -97,53 +65,26 @@ fn run_suite(
         .map(|((out, path), bin)| {
             assert!(
                 out.status.success(),
-                "{bin} ({engine} engine) failed:\n{}",
+                "{bin} failed:\n{}",
                 String::from_utf8_lossy(&out.stderr)
             );
             let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{bin} ({engine} engine) wrote no report: {e}"));
+                .unwrap_or_else(|e| panic!("{bin} wrote no report: {e}"));
             (out, text)
         })
         .collect()
 }
 
 fn main() {
-    let engines = engine_choice();
+    let json = json_path();
     let self_path = std::env::current_exe().expect("self path");
     let scratch = std::env::temp_dir().join(format!("uecgra-reports-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create report scratch dir");
 
-    // Run the suite once per engine. The last engine in the list is
-    // the one whose stdout is replayed and whose reports aggregate.
-    let legs: Vec<Vec<(Output, String)>> = engines
-        .iter()
-        .map(|&e| run_suite(&self_path, &scratch, e))
-        .collect();
+    let suite = run_suite(&self_path, &scratch);
 
-    // Differential gate: every child document must be byte-identical
-    // across engines before anything is aggregated.
-    if let [reference, rest @ ..] = &legs[..] {
-        for (leg, &engine) in rest.iter().zip(&engines[1..]) {
-            for ((bin, (_, a)), (_, b)) in BINS.iter().zip(reference).zip(leg) {
-                assert_eq!(
-                    a, b,
-                    "{bin}: report bytes diverge between the {} and {engine} engines",
-                    engines[0]
-                );
-            }
-        }
-        if !rest.is_empty() {
-            println!(
-                "differential: {} report documents byte-identical across {} engines",
-                BINS.len(),
-                engines.len()
-            );
-        }
-    }
-
-    let primary = legs.last().expect("at least one engine");
     let mut all_reports = Vec::new();
-    for (bin, (out, text)) in BINS.iter().zip(primary) {
+    for (bin, (out, text)) in BINS.iter().zip(&suite) {
         println!("\n================================================================");
         println!("== {bin}");
         println!("================================================================");
@@ -164,7 +105,7 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let out_path = json_path().unwrap_or_else(|| "report.json".into());
+    let out_path = json.unwrap_or_else(|| "report.json".into());
     std::fs::write(&out_path, RunReport::render_all(&all_reports))
         .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!(

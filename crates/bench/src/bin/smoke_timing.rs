@@ -16,15 +16,7 @@
 //!    that factor; by default it only reports, so single-core
 //!    machines can still run the functional checks.
 //!
-//! 4. **Engine timing** — the dense reference stepper and the
-//!    event-driven scheduler simulate the Table II kernel set
-//!    (simulation only; each kernel compiled once) and their
-//!    wall-clock times print side by side. The engines' `Activity`
-//!    must be bit-identical; when `UECGRA_SMOKE_MIN_ENGINE_SPEEDUP`
-//!    is set, the harness additionally fails if the event engine is
-//!    not at least that factor faster.
-//!
-//! 5. **DSE trajectory** (`dse` mode only) — the Table II DSE sweep
+//! 4. **DSE trajectory** (`dse` mode only) — the Table II DSE sweep
 //!    runs cold (fresh evaluation cache) then warm (same cache), the
 //!    outcomes must be bit-identical, and the wall-clock ratio and
 //!    evaluation throughput print. `UECGRA_SMOKE_MAX_WARM_RATIO`
@@ -36,20 +28,19 @@
 //!    measurements land in the file named by `--bench-out` for CI to
 //!    archive.
 //!
-//! Usage: `smoke_timing [quick|full|dse] [--engine dense|event|both]
-//! [--bench-out BENCH_dse.json]` (default `quick`, `both`; CI uses
-//! `quick` and `dse`). `UECGRA_SMOKE_THREADS` overrides the parallel
-//! leg's thread count (default 8).
+//! Usage: `smoke_timing [quick|full|dse] [--bench-out BENCH_dse.json]`
+//! (default `quick`; CI uses `quick` and `dse`); a malformed command
+//! line is a usage error (exit status 2). `UECGRA_SMOKE_THREADS`
+//! overrides the parallel leg's thread count (default 8).
 
 use std::time::Instant;
-use uecgra_compiler::bitstream::Bitstream;
+use uecgra_bench::usage_error;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
-use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_core::experiments::{run_all_policies_many, KernelRuns, SEED};
-use uecgra_core::pipeline::Engine;
 use uecgra_dfg::kernels::{self, synthetic};
 use uecgra_model::sweep::{sweep_group_modes, SweepResult};
-use uecgra_rtl::fabric::{Fabric, FabricConfig};
+
+const USAGE: &str = "[quick|full|dse] [--bench-out BENCH_dse.json]";
 
 fn fig3_sweep() -> SweepResult {
     let cs = synthetic::fig3_case_study();
@@ -94,64 +85,9 @@ fn check_references(grid: &[KernelRuns]) {
     );
 }
 
-/// Time both fabric engines on the Table II kernel set, simulation
-/// only (each kernel is compiled once under POpt DVFS, then the same
-/// bitstream runs on every selected engine `reps` times — quick-scale
-/// runs are sub-millisecond, so a single run is mostly timer noise).
-/// Returns total wall time per engine, in [`Engine::ALL`] order
-/// (`None` when not selected).
-fn engine_bench(scale: usize, reps: usize, engines: &[Engine]) -> [Option<f64>; 2] {
-    let ks = [
-        kernels::llist::build_with_hops(scale),
-        kernels::dither::build_with_pixels(scale),
-        kernels::susan::build_with_iters(scale),
-        kernels::fft::build_with_group(scale),
-        kernels::bf::build_with_rounds(32),
-    ];
-    println!("\n  engine wall-clock (simulation only, POpt DVFS):");
-    print!("  {:<8}", "kernel");
-    for e in engines {
-        print!(" {:>10}", format!("{e}"));
-    }
-    println!();
-    let mut totals = [None::<f64>; 2];
-    for k in &ks {
-        let pm = power_map(&k.dfg, k.mem.clone(), k.iter_marker, Objective::Performance);
-        let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), SEED).expect("maps");
-        let bs = Bitstream::assemble(&k.dfg, &mapped, &pm.node_modes).expect("assembles");
-        let config = FabricConfig {
-            marker: Some(mapped.coord_of(k.iter_marker)),
-            ..FabricConfig::default()
-        };
-        print!("  {:<8}", k.name);
-        let mut acts = Vec::new();
-        for &e in engines {
-            let fabs: Vec<Fabric> = (0..reps)
-                .map(|_| Fabric::new(&bs, k.mem.clone(), config.clone()))
-                .collect();
-            let (mut runs, dt) =
-                timed(|| fabs.into_iter().map(|f| f.run_with(e)).collect::<Vec<_>>());
-            print!(" {:>9.3}s", dt);
-            let slot = Engine::ALL.iter().position(|&x| x == e).unwrap();
-            *totals[slot].get_or_insert(0.0) += dt;
-            acts.push(runs.pop().expect("at least one rep"));
-        }
-        println!();
-        for pair in acts.windows(2) {
-            assert_eq!(
-                pair[0], pair[1],
-                "{}: engine Activity diverges in the smoke harness",
-                k.name
-            );
-        }
-    }
-    totals
-}
-
 /// One cold-or-warm pass of the Table II DSE sweep (routed hops,
 /// shared cache across kernels), mirroring the `dse_sweep` binary.
 fn dse_sweep_pass(cache: &uecgra_dse::EvalCache, budget: usize) -> Vec<uecgra_dse::DseOutcome> {
-    use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
     let cfg = uecgra_dse::DseConfig {
         seed: SEED,
         budget,
@@ -263,33 +199,24 @@ fn dse_bench(bench_out: Option<&str>) {
 
 fn main() {
     let mut mode = "quick".to_string();
-    let mut engines: Vec<Engine> = Engine::ALL.to_vec();
     let mut bench_out: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "quick" | "full" | "dse" => mode = arg,
-            "--engine" => {
-                let v = argv.next().expect("--engine needs a value");
-                if v != "both" {
-                    engines = vec![Engine::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event|both)"))];
-                }
+            "--bench-out" => {
+                bench_out = Some(
+                    argv.next()
+                        .unwrap_or_else(|| usage_error("--bench-out needs a value", USAGE)),
+                )
             }
-            "--bench-out" => bench_out = Some(argv.next().expect("--bench-out needs a value")),
-            other => {
-                panic!("unknown argument {other:?} (expected quick|full|dse|--engine|--bench-out)")
-            }
+            other => usage_error(&format!("unknown argument {other:?}"), USAGE),
         }
     }
     if mode == "dse" {
         return dse_bench(bench_out.as_deref());
     }
-    let (scale, engine_reps) = match mode.as_str() {
-        "quick" => (60, 20),
-        "full" => (400, 3),
-        other => panic!("unknown mode {other:?} (expected quick|full)"),
-    };
+    let scale = if mode == "full" { 400 } else { 60 };
     let par_threads = std::env::var("UECGRA_SMOKE_THREADS")
         .ok()
         .and_then(|s| uecgra_util::par::parse_threads(&s))
@@ -346,24 +273,5 @@ fn main() {
         println!("  speedup gate: disabled (set UECGRA_SMOKE_MIN_SPEEDUP to enforce)");
     }
 
-    let engine_totals = engine_bench(scale, engine_reps, &engines);
-    if let [Some(dense), Some(event)] = engine_totals {
-        let ratio = dense / event;
-        println!("  total: dense {dense:.3}s, event {event:.3}s ({ratio:.2}x)");
-        if let Ok(min) = std::env::var("UECGRA_SMOKE_MIN_ENGINE_SPEEDUP") {
-            let min: f64 = min
-                .parse()
-                .expect("UECGRA_SMOKE_MIN_ENGINE_SPEEDUP must be a float");
-            assert!(
-                ratio >= min,
-                "event engine speedup {ratio:.2}x below required {min:.2}x"
-            );
-            println!("  engine speedup gate: {ratio:.2}x >= {min:.2}x");
-        } else {
-            println!(
-                "  engine speedup gate: disabled (set UECGRA_SMOKE_MIN_ENGINE_SPEEDUP to enforce)"
-            );
-        }
-    }
     println!("\nsmoke harness OK");
 }

@@ -1,17 +1,15 @@
 //! Table I: power breakdowns of the dither kernel with and without
 //! power gating (P) and hierarchical clock gating (H).
 
-use uecgra_bench::{
-    engine_arg, evaluation_kernels, header, json_path, kernel_run_reports, write_reports,
-};
-use uecgra_core::experiments::{run_all_policies_with, table1, SEED};
+use uecgra_bench::{evaluation_kernels, header, json_path, kernel_run_reports, write_reports};
+use uecgra_core::experiments::{run_all_policies, table1, SEED};
 use uecgra_core::report::metrics_report;
 
 fn main() {
+    let json = json_path();
     let dither = evaluation_kernels().remove(1);
     assert_eq!(dither.name, "dither");
-    let runs =
-        run_all_policies_with(&dither, SEED, engine_arg()).expect("dither compiles and runs");
+    let runs = run_all_policies(&dither, SEED).expect("dither compiles and runs");
     header("Table I: power breakdowns, dither kernel (mW)");
     println!(
         "{:<22} {:>8} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7}",
@@ -34,7 +32,7 @@ fn main() {
     println!("\nPaper shape: clock ~half of total when ungated; P then H cut it");
     println!("stepwise; UE global clock ~4x E global clock before gating.");
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         // Full telemetry of the three underlying dither runs, plus the
         // table rows as named scalars (per configuration × gating).
         let mut reports = kernel_run_reports(&runs);

@@ -1,13 +1,12 @@
 //! Table II: UE-CGRA performance and energy relative to the 8x8
 //! E-CGRA.
 
-use uecgra_bench::{
-    engine_arg, evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports,
-};
-use uecgra_core::experiments::{run_all_policies_many_with, KernelRuns, SEED};
+use uecgra_bench::{evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports};
+use uecgra_core::experiments::{run_all_policies_many, KernelRuns, SEED};
 use uecgra_core::report::metrics_report;
 
 fn main() {
+    let json = json_path();
     header("Table II: UE-CGRA vs E-CGRA (iterations/s and iterations/J, relative)");
     println!(
         "{:<8} | {:>9} {:>9} | {:>9} {:>9} |  paper EOpt eff / POpt perf",
@@ -20,8 +19,8 @@ fn main() {
         (2.32, 1.49),
         (1.32, 1.44),
     ];
-    let all = run_all_policies_many_with(&evaluation_kernels(), SEED, engine_arg())
-        .expect("all kernels compile and run");
+    let all =
+        run_all_policies_many(&evaluation_kernels(), SEED).expect("all kernels compile and run");
     let rows: Vec<_> = all.iter().map(KernelRuns::table2_row).collect();
     for (row, (pe, pp)) in rows.iter().zip(paper) {
         println!(
@@ -33,7 +32,7 @@ fn main() {
             r2(row.popt_eff)
         );
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut reports: Vec<_> = all.iter().flat_map(kernel_run_reports).collect();
         for row in &rows {
             reports.push(metrics_report(

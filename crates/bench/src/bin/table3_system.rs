@@ -1,14 +1,13 @@
 //! Table III: performance and energy efficiency of the integrated
 //! processor+CGRA system relative to the RV32IM core.
 
-use uecgra_bench::{
-    engine_arg, evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports,
-};
-use uecgra_core::experiments::{run_all_policies_many_with, table3_row, SEED};
+use uecgra_bench::{evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports};
+use uecgra_core::experiments::{run_all_policies_many, table3_row, SEED};
 use uecgra_core::pipeline::Policy;
 use uecgra_core::report::metrics_report;
 
 fn main() {
+    let json = json_path();
     header("Table III: system-level results relative to the in-order RV32IM core");
     println!(
         "{:<8} {:>5} {:>5} {:>9} {:>6} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6}",
@@ -27,8 +26,7 @@ fn main() {
     // All kernel × policy pipeline runs fan out across threads; the
     // per-row core simulations then fan out per kernel. Printing stays
     // on the main thread in kernel order.
-    let all =
-        run_all_policies_many_with(&evaluation_kernels(), SEED, engine_arg()).expect("kernels run");
+    let all = run_all_policies_many(&evaluation_kernels(), SEED).expect("kernels run");
     let rows = uecgra_core::par::par_map(&all, table3_row);
     for row in &rows {
         let find = |p: Policy| {
@@ -59,7 +57,7 @@ fn main() {
     println!("\nPaper bands: E-CGRA perf 0.94-2.31x, UE POpt perf 1.35-3.38x,");
     println!("UE EOpt efficiency 0.80-1.53x relative to the core.");
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut reports: Vec<_> = all.iter().flat_map(kernel_run_reports).collect();
         for row in &rows {
             let mut metrics = vec![

@@ -26,7 +26,7 @@
 //! [`uecgra_util::par_tabulate`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use uecgra_core::pipeline::{Engine, Policy, RunRequest};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_core::Error;
 use uecgra_dfg::Kernel;
 use uecgra_probe::{CampaignEntry, CampaignSection, RunReport};
@@ -39,8 +39,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Faults injected per kernel.
     pub per_kernel: usize,
-    /// Simulation engine.
-    pub engine: Engine,
     /// When false, run the control leg: checker on, injector off.
     pub faults_enabled: bool,
 }
@@ -50,7 +48,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 0xC0FFEE,
             per_kernel: 12,
-            engine: Engine::default(),
             faults_enabled: true,
         }
     }
@@ -73,7 +70,7 @@ struct Specimen<'a> {
     fault: Option<Fault>,
 }
 
-fn run_specimen(s: &Specimen<'_>, engine: Engine) -> CampaignEntry {
+fn run_specimen(s: &Specimen<'_>) -> CampaignEntry {
     let (fault_label, class) = match &s.fault {
         Some(f) => (f.label(), f.kind.class().to_string()),
         None => ("none".to_string(), "control".to_string()),
@@ -86,7 +83,6 @@ fn run_specimen(s: &Specimen<'_>, engine: Engine) -> CampaignEntry {
         RunRequest::new(s.kernel)
             .policy(Policy::UePerfOpt)
             .faults(plan)
-            .engine(engine)
             .run()
     }));
     let (outcome, detail, violations) = match outcome {
@@ -143,7 +139,6 @@ pub fn run_campaign(kernels: &[Kernel], config: &CampaignConfig) -> CampaignSect
     let baselines = uecgra_util::par_tabulate(kernels.len(), |i| {
         RunRequest::new(&kernels[i])
             .policy(Policy::UePerfOpt)
-            .engine(config.engine)
             .run()
             .unwrap_or_else(|e| panic!("{} baseline failed: {e}", kernels[i].name))
     });
@@ -180,9 +175,7 @@ pub fn run_campaign(kernels: &[Kernel], config: &CampaignConfig) -> CampaignSect
         }
     }
 
-    let entries = uecgra_util::par_tabulate(specimens.len(), |i| {
-        run_specimen(&specimens[i], config.engine)
-    });
+    let entries = uecgra_util::par_tabulate(specimens.len(), |i| run_specimen(&specimens[i]));
 
     let count = |o: &str| entries.iter().filter(|e| e.outcome == o).count() as u64;
     CampaignSection {

@@ -9,7 +9,6 @@
 pub mod campaign;
 
 use uecgra_core::experiments::KernelRuns;
-use uecgra_core::pipeline::Engine;
 use uecgra_core::report::run_report;
 use uecgra_dfg::{kernels, Kernel};
 use uecgra_probe::RunReport;
@@ -47,42 +46,48 @@ pub fn r2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// The `--json <path>` flag shared by every reproduction binary.
+/// Parse the arguments (without `argv[0]`) of a reproduction binary
+/// whose only flag is `--json <path>`.
 ///
-/// Returns the requested report path, or `None` when the binary should
-/// only print its table. Other argv entries are left for the binary
-/// (only `smoke_timing` takes any).
-pub fn json_path() -> Option<String> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--json" {
-            return Some(argv.next().expect("--json needs a value"));
+/// # Errors
+///
+/// Returns a one-line diagnostic on a `--json` without a value, a
+/// repeated `--json`, or any other argument.
+pub fn parse_json_flag(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
+    let mut args = args.into_iter();
+    let mut path = None;
+    while let Some(arg) = args.next() {
+        if arg != "--json" {
+            return Err(format!("unknown argument {arg:?}"));
         }
+        if path.is_some() {
+            return Err("duplicate flag --json".into());
+        }
+        path = Some(args.next().ok_or("--json needs a value")?);
     }
-    None
+    Ok(path)
 }
 
-/// The `--engine dense|event` flag shared by every reproduction
-/// binary.
+/// Print `msg` and the usage line `usage` to stderr, then exit with
+/// status 2 (the conventional status for a command-line error).
+pub fn usage_error(msg: &str, usage: &str) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = bin.rsplit('/').next().unwrap_or_default();
+    eprintln!(
+        "{bin}: {msg}
+usage: {bin} {usage}"
+    );
+    std::process::exit(2)
+}
+
+/// The `--json <path>` flag, the only flag of a reproduction binary.
 ///
-/// Defaults to the event-driven engine ([`Engine::default`]). Both
-/// engines are bit-identical by contract, so the choice never shows up
-/// in a report — `reproduce_all --engine both` runs the whole suite
-/// twice and asserts exactly that.
-///
-/// # Panics
-///
-/// Panics on an unrecognized engine name.
-pub fn engine_arg() -> Engine {
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--engine" {
-            let v = argv.next().expect("--engine needs a value");
-            return Engine::parse(&v)
-                .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event)"));
-        }
-    }
-    Engine::default()
+/// Returns the requested report path, or `None` when the binary should
+/// only print its table. A malformed command line is a usage error
+/// (exit status 2), so call this before doing any work.
+pub fn json_path() -> Option<String> {
+    parse_json_flag(std::env::args().skip(1))
+        .unwrap_or_else(|msg| usage_error(&msg, "[--json <path>]"))
 }
 
 /// Write a report document (a JSON array of [`RunReport`]s) to `path`
@@ -116,6 +121,33 @@ pub fn kernel_run_reports(runs: &KernelRuns) -> Vec<RunReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<String>, String> {
+        parse_json_flag(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn json_flag_parses_or_is_absent() {
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--json", "r.json"]), Ok(Some("r.json".into())));
+    }
+
+    #[test]
+    fn malformed_json_flags_are_errors() {
+        assert_eq!(parse(&["--json"]), Err("--json needs a value".into()));
+        assert_eq!(
+            parse(&["--json", "a", "--json", "b"]),
+            Err("duplicate flag --json".into())
+        );
+        assert_eq!(
+            parse(&["--threads", "4"]),
+            Err("unknown argument \"--threads\"".into())
+        );
+        assert_eq!(
+            parse(&["--json", "r.json", "extra"]),
+            Err("unknown argument \"extra\"".into())
+        );
+    }
 
     #[test]
     fn kernels_are_available_at_both_scales() {

@@ -1,9 +1,8 @@
 //! Campaign determinism: the schema-v2 fault-campaign JSON must be a
 //! pure function of the campaign seed — byte-identical across worker
-//! thread counts and across simulation engines.
+//! thread counts.
 
 use uecgra_bench::campaign::{campaign_report, run_campaign, CampaignConfig};
-use uecgra_core::pipeline::Engine;
 use uecgra_dfg::{kernels, Kernel};
 use uecgra_probe::RunReport;
 
@@ -34,36 +33,4 @@ fn campaign_json_is_byte_identical_across_thread_counts() {
     let eight = render(&config);
     std::env::remove_var("UECGRA_THREADS");
     assert_eq!(single, eight, "campaign JSON depends on the thread count");
-}
-
-#[test]
-fn engines_agree_on_every_injected_fault_outcome() {
-    let base = CampaignConfig {
-        seed: 3,
-        per_kernel: 6,
-        ..CampaignConfig::default()
-    };
-    let dense = run_campaign(
-        &tiny_kernels(),
-        &CampaignConfig {
-            engine: Engine::Dense,
-            ..base
-        },
-    );
-    let event = run_campaign(
-        &tiny_kernels(),
-        &CampaignConfig {
-            engine: Engine::EventDriven,
-            ..base
-        },
-    );
-    assert_eq!(
-        dense.entries.len(),
-        event.entries.len(),
-        "engines drew different specimen sets"
-    );
-    for (d, e) in dense.entries.iter().zip(&event.entries) {
-        assert_eq!(d, e, "engines disagree on fault {}", d.fault);
-    }
-    assert_eq!(dense, event);
 }

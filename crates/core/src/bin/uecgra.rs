@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! uecgra run <source.loop> [--policy e|eopt|popt] [--seed N]
-//!            [--engine dense|event] [--mem-words N] [--vcd <out.vcd>]
-//!            [--dump-mem A..B] [--json <report.json>]
+//!            [--mem-words N] [--vcd <out.vcd>] [--dump-mem A..B]
+//!            [--json <report.json>]
 //! uecgra compile <source.loop> [--seed N]      # print the mapping
 //! uecgra dse <source.loop> [--seed N] [--budget N]
 //!            [--cache <cache.json>] [--json <report.json>]
@@ -338,7 +338,7 @@ fn real_main() -> Result<(), CliError> {
         ..FabricConfig::default()
     };
     let activity = timed(&mut sink, Phase::Simulate, || {
-        Fabric::new(&bitstream, mem, config).run_with(args.engine)
+        Fabric::new(&bitstream, mem, config).run()
     });
     println!(
         "ran {} iterations in {:.0} nominal cycles (II {:.2}), stop: {:?}",
@@ -372,7 +372,6 @@ fn real_main() -> Result<(), CliError> {
             .trim_end_matches(".loop");
         let mut report = run_report(format!("{source_name}/{}", policy.label()), None, &run);
         report.seed = Some(args.seed);
-        report.engine = Some(args.engine.label().to_string());
         report.timings = Some(sink.timings);
         write_file(path, &RunReport::render_all(std::slice::from_ref(&report)))?;
         eprintln!("wrote report to {path}");

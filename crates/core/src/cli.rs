@@ -12,8 +12,6 @@
 //!   message still names the flag and now also survives the flag
 //!   being the final token.
 
-use uecgra_rtl::Engine;
-
 /// The parsed `uecgra` command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliArgs {
@@ -23,8 +21,6 @@ pub struct CliArgs {
     pub source: String,
     /// Policy name (`e`, `eopt`, `popt`).
     pub policy: String,
-    /// Simulation engine.
-    pub engine: Engine,
     /// Mapping seed.
     pub seed: u64,
     /// Scratchpad size in words.
@@ -44,8 +40,8 @@ pub struct CliArgs {
 /// The one-line usage string.
 pub fn usage() -> String {
     "usage: uecgra <run|compile|dse|check-report> <file> [--policy e|eopt|popt] \
-     [--engine dense|event] [--seed N] [--mem-words N] [--vcd out.vcd] \
-     [--dump-mem A..B] [--json report.json] [--budget N] [--cache cache.json]"
+     [--seed N] [--mem-words N] [--vcd out.vcd] [--dump-mem A..B] \
+     [--json report.json] [--budget N] [--cache cache.json]"
         .to_string()
 }
 
@@ -66,7 +62,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
         command,
         source,
         policy: "popt".into(),
-        engine: Engine::default(),
         seed: 7,
         mem_words: 8192,
         vcd: None,
@@ -84,11 +79,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
         let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--policy" => args.policy = value()?,
-            "--engine" => {
-                let v = value()?;
-                args.engine = Engine::parse(&v)
-                    .ok_or_else(|| format!("--engine: unknown engine {v} (use dense|event)"))?;
-            }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--mem-words" => {
                 args.mem_words = value()?.parse().map_err(|e| format!("--mem-words: {e}"))?
@@ -143,8 +133,6 @@ mod tests {
             "e",
             "--seed",
             "9",
-            "--engine",
-            "dense",
             "--dump-mem",
             "0..16",
             "--json",
@@ -153,7 +141,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.policy, "e");
         assert_eq!(a.seed, 9);
-        assert_eq!(a.engine, Engine::Dense);
         assert_eq!(a.dump, Some((0, 16)));
         assert_eq!(a.json.as_deref(), Some("out.json"));
     }
@@ -206,9 +193,6 @@ mod tests {
             parse(&["run", "k.loop", "--dump-mem", "16"]).unwrap_err(),
             "--dump-mem expects A..B"
         );
-        assert!(parse(&["run", "k.loop", "--engine", "warp"])
-            .unwrap_err()
-            .contains("unknown engine"));
         assert!(parse(&["run", "k.loop", "--frobnicate"])
             .unwrap_err()
             .starts_with("unknown flag --frobnicate"));

@@ -159,12 +159,12 @@ pub fn global_scale_point(run: &CgraRun, gating: GatingConfig, v: f64, f: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_kernel;
+    use crate::pipeline::RunRequest;
     use uecgra_dfg::kernels;
 
     fn dither_run(policy: Policy) -> CgraRun {
         let k = kernels::dither::build_with_pixels(60);
-        run_kernel(&k, policy, 7).unwrap()
+        RunRequest::new(&k).policy(policy).seed(7).run().unwrap()
     }
 
     #[test]

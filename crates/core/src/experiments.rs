@@ -5,7 +5,8 @@
 //! measured-versus-published comparison.
 
 use crate::energy::{cgra_energy, global_scale_point, CgraEnergy};
-use crate::pipeline::{CgraRun, Engine, PipelineError, Policy};
+use crate::error::Error;
+use crate::pipeline::{CgraRun, Policy};
 use uecgra_clock::VfMode;
 use uecgra_dfg::{Kernel, NodeId};
 use uecgra_rtl::config_load;
@@ -49,21 +50,8 @@ pub struct KernelRuns {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn run_all_policies(kernel: &Kernel, seed: u64) -> Result<KernelRuns, PipelineError> {
-    run_all_policies_with(kernel, seed, Engine::default())
-}
-
-/// [`run_all_policies`] with an explicit simulation engine.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn run_all_policies_with(
-    kernel: &Kernel,
-    seed: u64,
-    engine: Engine,
-) -> Result<KernelRuns, PipelineError> {
-    run_all_policies_many_with(std::slice::from_ref(kernel), seed, engine).map(|mut v| v.remove(0))
+pub fn run_all_policies(kernel: &Kernel, seed: u64) -> Result<KernelRuns, Error> {
+    run_all_policies_many(std::slice::from_ref(kernel), seed).map(|mut v| v.remove(0))
 }
 
 /// Run all three policies on every kernel, fanning the whole
@@ -74,24 +62,8 @@ pub fn run_all_policies_with(
 /// # Errors
 ///
 /// Propagates the first pipeline failure in grid order.
-pub fn run_all_policies_many(
-    kernels: &[Kernel],
-    seed: u64,
-) -> Result<Vec<KernelRuns>, PipelineError> {
-    run_all_policies_many_with(kernels, seed, Engine::default())
-}
-
-/// [`run_all_policies_many`] with an explicit simulation engine.
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure in grid order.
-pub fn run_all_policies_many_with(
-    kernels: &[Kernel],
-    seed: u64,
-    engine: Engine,
-) -> Result<Vec<KernelRuns>, PipelineError> {
-    let grid = crate::pipeline::run_kernels_parallel_with(kernels, seed, engine);
+pub fn run_all_policies_many(kernels: &[Kernel], seed: u64) -> Result<Vec<KernelRuns>, Error> {
+    let grid = crate::pipeline::run_kernels_parallel(kernels, seed);
     kernels
         .iter()
         .zip(grid)
@@ -130,7 +102,7 @@ impl KernelRuns {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn table2(kernels: &[Kernel], seed: u64) -> Result<Vec<Table2Row>, PipelineError> {
+pub fn table2(kernels: &[Kernel], seed: u64) -> Result<Vec<Table2Row>, Error> {
     Ok(run_all_policies_many(kernels, seed)?
         .iter()
         .map(KernelRuns::table2_row)

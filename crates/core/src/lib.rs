@@ -3,8 +3,9 @@
 //! This crate ties the reproduction together:
 //!
 //! * [`pipeline`] — compile a kernel (place, route, power-map,
-//!   assemble) and execute it on the cycle-level fabric under one of
-//!   three policies: E-CGRA, UE-CGRA EOpt, UE-CGRA POpt;
+//!   assemble) and execute it on the cycle-level fabric (its
+//!   event-driven engine) under one of three policies: E-CGRA,
+//!   UE-CGRA EOpt, UE-CGRA POpt;
 //! * [`energy`] — RTL-level energy accounting from fabric activity
 //!   plus the calibrated VLSI tables and the hierarchically-gated
 //!   clock-power model;
@@ -15,14 +16,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use uecgra_core::pipeline::{run_kernel, Policy};
+//! use uecgra_core::pipeline::{Policy, RunRequest};
 //! use uecgra_core::energy::cgra_energy;
 //! use uecgra_dfg::kernels;
 //! use uecgra_vlsi::GatingConfig;
 //!
 //! let kernel = kernels::llist::build_with_hops(40);
-//! let base = run_kernel(&kernel, Policy::ECgra, 7).unwrap();
-//! let fast = run_kernel(&kernel, Policy::UePerfOpt, 7).unwrap();
+//! let base = RunRequest::new(&kernel).seed(7).run().unwrap();
+//! let fast = RunRequest::new(&kernel).policy(Policy::UePerfOpt).seed(7).run().unwrap();
 //! let speedup = base.ii() / fast.ii();
 //! assert!(speedup > 1.1, "fine-grain DVFS sprints the pointer chase");
 //! let energy = cgra_energy(&fast, GatingConfig::FULL);
@@ -48,5 +49,5 @@ pub mod par {
 
 pub use energy::{cgra_energy, CgraEnergy};
 pub use error::{error_chain, Error};
-pub use pipeline::{run_kernel, run_kernels_parallel, CgraRun, PipelineError, Policy, RunRequest};
+pub use pipeline::{run_kernels_parallel, CgraRun, Policy, RunRequest};
 pub use report::{metrics_report, run_report};

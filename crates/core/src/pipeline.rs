@@ -22,7 +22,8 @@
 //!
 //! The builder exposes the knobs the figure harnesses need (queue
 //! depth, iteration cap, event recording, a [`ProbeSink`] for phase
-//! timings); [`run_kernel`] survives as a thin positional wrapper.
+//! timings). Execution always uses [`Fabric::run`], the event-driven
+//! engine.
 
 use crate::error::Error;
 use uecgra_clock::{ClockSet, VfMode};
@@ -33,7 +34,6 @@ use uecgra_dfg::Kernel;
 use uecgra_probe::{Phase, ProbeSink};
 use uecgra_rtl::fabric::{Fabric, FabricConfig, FabricStop};
 use uecgra_rtl::Activity;
-pub use uecgra_rtl::Engine;
 pub use uecgra_rtl::FaultPlan;
 
 /// Which machine/policy a kernel is compiled for.
@@ -115,11 +115,6 @@ impl CgraRun {
     }
 }
 
-/// Errors from the pipeline — an alias for the unified workspace
-/// [`Error`](crate::error::Error), kept for source compatibility with
-/// the original two-variant enum.
-pub type PipelineError = Error;
-
 /// Run `f`, reporting its wall-clock duration to `sink` when one is
 /// attached. With no sink this is just a call — no clock reads, no
 /// allocation — which keeps the hot fan-out paths cheap.
@@ -135,11 +130,9 @@ fn timed<T>(sink: &mut Option<&mut dyn ProbeSink>, phase: Phase, f: impl FnOnce(
     }
 }
 
-/// A configured compile-and-execute request: the builder-style
-/// replacement for the positional [`run_kernel`].
+/// A configured compile-and-execute request.
 ///
-/// Defaults match `run_kernel`'s historical behavior: E-CGRA policy,
-/// seed 7, paper-default queue depth 2, run to quiescence, no event
+/// Defaults: E-CGRA policy, seed 7, paper-default queue depth 2, run to quiescence, no event
 /// recording, no probe.
 pub struct RunRequest<'a> {
     kernel: &'a Kernel,
@@ -148,7 +141,6 @@ pub struct RunRequest<'a> {
     iterations: Option<u64>,
     queue_depth: usize,
     record_events: bool,
-    engine: Engine,
     divisors: Option<[u32; 3]>,
     faults: FaultPlan,
     watchdog: Option<bool>,
@@ -165,7 +157,6 @@ impl<'a> RunRequest<'a> {
             iterations: None,
             queue_depth: 2,
             record_events: false,
-            engine: Engine::default(),
             divisors: None,
             faults: FaultPlan::none(),
             watchdog: None,
@@ -201,13 +192,6 @@ impl<'a> RunRequest<'a> {
     /// Record per-event (tick, PE) firings for waveform dumping.
     pub fn record_events(mut self, on: bool) -> Self {
         self.record_events = on;
-        self
-    }
-
-    /// Select the simulation engine (default: [`Engine::EventDriven`],
-    /// bit-identical to the dense reference stepper by contract).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -263,7 +247,6 @@ impl<'a> RunRequest<'a> {
             iterations,
             queue_depth,
             record_events,
-            engine,
             divisors,
             faults,
             watchdog,
@@ -325,7 +308,7 @@ impl<'a> RunRequest<'a> {
             ..FabricConfig::default()
         };
         let activity = timed(&mut sink, Phase::Simulate, || {
-            Fabric::new(&bitstream, kernel.mem.clone(), config).run_with(engine)
+            Fabric::new(&bitstream, kernel.mem.clone(), config).run()
         });
         if activity.stop == FabricStop::ProtocolViolation {
             let v = *activity
@@ -379,22 +362,6 @@ fn worst_stalled_pe(act: &Activity) -> (usize, usize) {
     best
 }
 
-/// Compile `kernel` under `policy` and execute it to completion on the
-/// 8×8 fabric.
-///
-/// Deprecated-style wrapper: prefer [`RunRequest`], which exposes the
-/// remaining knobs (iteration cap, queue depth, event recording,
-/// probe sinks). This positional form is kept so existing harnesses
-/// migrate mechanically.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if mapping fails or execution hits the
-/// tick limit.
-pub fn run_kernel(kernel: &Kernel, policy: Policy, seed: u64) -> Result<CgraRun, PipelineError> {
-    RunRequest::new(kernel).policy(policy).seed(seed).run()
-}
-
 /// Compile and execute every `(kernel, policy)` pair across worker
 /// threads, returning results grouped per kernel in input order
 /// (`result[k][p]` is kernel `k` under `Policy::ALL[p]`).
@@ -405,32 +372,14 @@ pub fn run_kernel(kernel: &Kernel, policy: Policy, seed: u64) -> Result<CgraRun,
 ///
 /// # Errors
 ///
-/// Each slot carries its own [`PipelineError`]; one failing pair does
-/// not abort the rest.
-pub fn run_kernels_parallel(
-    kernels: &[Kernel],
-    seed: u64,
-) -> Vec<Vec<Result<CgraRun, PipelineError>>> {
-    run_kernels_parallel_with(kernels, seed, Engine::default())
-}
-
-/// [`run_kernels_parallel`] with an explicit simulation engine.
-///
-/// # Errors
-///
-/// Each slot carries its own [`PipelineError`]; one failing pair does
-/// not abort the rest.
-pub fn run_kernels_parallel_with(
-    kernels: &[Kernel],
-    seed: u64,
-    engine: Engine,
-) -> Vec<Vec<Result<CgraRun, PipelineError>>> {
+/// Each slot carries its own [`Error`]; one failing pair does not
+/// abort the rest.
+pub fn run_kernels_parallel(kernels: &[Kernel], seed: u64) -> Vec<Vec<Result<CgraRun, Error>>> {
     let n_pol = Policy::ALL.len();
     let mut flat = uecgra_util::par_tabulate(kernels.len() * n_pol, |i| {
         RunRequest::new(&kernels[i / n_pol])
             .policy(Policy::ALL[i % n_pol])
             .seed(seed)
-            .engine(engine)
             .run()
     })
     .into_iter();
@@ -453,7 +402,7 @@ mod tests {
     fn pipeline_runs_all_policies_on_llist() {
         let k = kernels::llist::build_with_hops(60);
         for policy in Policy::ALL {
-            let run = run_kernel(&k, policy, 7).unwrap();
+            let run = RunRequest::new(&k).policy(policy).run().unwrap();
             let expect = k.reference_memory();
             assert_eq!(
                 &run.activity.mem[..expect.len()],
@@ -468,8 +417,8 @@ mod tests {
     #[test]
     fn popt_is_fastest_policy() {
         let k = kernels::dither::build_with_pixels(60);
-        let e = run_kernel(&k, Policy::ECgra, 7).unwrap();
-        let p = run_kernel(&k, Policy::UePerfOpt, 7).unwrap();
+        let e = RunRequest::new(&k).run().unwrap();
+        let p = RunRequest::new(&k).policy(Policy::UePerfOpt).run().unwrap();
         assert!(p.ii() < e.ii(), "POpt {} vs E {}", p.ii(), e.ii());
     }
 
@@ -520,7 +469,7 @@ mod tests {
     #[test]
     fn runtime_uses_750mhz_nominal() {
         let k = kernels::llist::build_with_hops(30);
-        let run = run_kernel(&k, Policy::ECgra, 7).unwrap();
+        let run = RunRequest::new(&k).run().unwrap();
         let expect = run.activity.nominal_cycles() * (4.0 / 3.0);
         assert_eq!(run.runtime_ns(), expect);
     }

@@ -69,7 +69,6 @@ pub fn run_report(name: impl Into<String>, kernel: Option<&str>, run: &CgraRun) 
         kernel: kernel.map(str::to_string),
         policy: Some(run.policy.label().to_string()),
         seed: None,
-        engine: None,
         iterations: act.iterations(),
         ticks: act.ticks,
         nominal_cycles: act.nominal_cycles(),

@@ -3,21 +3,23 @@
 //! The explorer scores candidates with the analytical model only; this
 //! module re-validates a chosen assignment on the cycle-level fabric by
 //! reusing the differential oracle: place-and-route the kernel,
-//! assemble the bitstream with the candidate's modes, execute on
-//! **both** engines (dense reference stepper and event-driven), and
-//! require bit-identical activity plus a final memory image matching
-//! the kernel's host reference. This is the `--rtl-check` leg of
-//! `dse_sweep` — too slow for the inner search loop, exactly right for
-//! the frontier members the search actually recommends.
+//! assemble the bitstream with the candidate's modes, execute on the
+//! event-driven engine ([`Fabric::run`]) **and** the dense reference
+//! stepper ([`Fabric::run_reference`]), and require bit-identical
+//! activity plus a final memory image matching the kernel's host
+//! reference. This is the `--rtl-check` leg of `dse_sweep` — too slow
+//! for the inner search loop, exactly right for the frontier members
+//! the search actually recommends.
 
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_dfg::Kernel;
-use uecgra_rtl::{Activity, Engine, Fabric, FabricConfig};
+use uecgra_rtl::{Fabric, FabricConfig};
 
-/// Run `node_modes` through the full pipeline on both engines and
-/// check them against each other and the host reference.
+/// Run `node_modes` through the full pipeline on the engine and the
+/// dense oracle and check them against each other and the host
+/// reference.
 ///
 /// # Errors
 ///
@@ -40,15 +42,15 @@ pub fn rtl_crosscheck(kernel: &Kernel, node_modes: &[VfMode], seed: u64) -> Resu
         .validate()
         .map_err(|e| format!("{}: bitstream invalid: {e:?}", kernel.name))?;
 
-    let run = |engine: Engine| -> Activity {
+    let fabric = || {
         let config = FabricConfig {
             marker: Some(mapped.coord_of(kernel.iter_marker)),
             ..FabricConfig::default()
         };
-        Fabric::new(&bitstream, kernel.mem.clone(), config).run_with(engine)
+        Fabric::new(&bitstream, kernel.mem.clone(), config)
     };
-    let dense = run(Engine::Dense);
-    let event = run(Engine::EventDriven);
+    let dense = fabric().run_reference();
+    let event = fabric().run();
 
     // Differential oracle: the engines are bit-identical by contract.
     if dense.ticks != event.ticks

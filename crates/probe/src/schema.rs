@@ -622,10 +622,6 @@ pub struct RunReport {
     pub policy: Option<String>,
     /// Mapping seed.
     pub seed: Option<u64>,
-    /// Simulation engine (`dense` or `event`). Omitted by the
-    /// reproduction binaries so their reports stay byte-identical
-    /// across engines — the differential check depends on that.
-    pub engine: Option<String>,
     /// Iterations completed (marker firings).
     pub iterations: u64,
     /// PLL ticks simulated.
@@ -685,9 +681,6 @@ impl RunReport {
         }
         if let Some(seed) = self.seed {
             fields.push(("seed".into(), Json::Uint(seed)));
-        }
-        if let Some(engine) = &self.engine {
-            fields.push(("engine".into(), Json::Str(engine.clone())));
         }
         fields.push(("iterations".into(), Json::Uint(self.iterations)));
         fields.push(("ticks".into(), Json::Uint(self.ticks)));
@@ -789,7 +782,6 @@ impl RunReport {
             kernel: opt_str(v, "kernel")?,
             policy: opt_str(v, "policy")?,
             seed: opt_u64(v, "seed")?,
-            engine: opt_str(v, "engine")?,
             iterations: req_u64(v, "iterations")?,
             ticks: req_u64(v, "ticks")?,
             nominal_cycles: req_f64(v, "nominal_cycles")?,
@@ -839,7 +831,6 @@ mod tests {
             kernel: Some("dither".into()),
             policy: Some("UE-CGRA POpt".into()),
             seed: Some(7),
-            engine: None,
             iterations: 60,
             ticks: 1234,
             nominal_cycles: 411.5,
@@ -961,20 +952,6 @@ mod tests {
 }
 ";
         assert_eq!(report.to_json().render(), expected);
-    }
-
-    #[test]
-    fn engine_tag_round_trips_and_is_omitted_when_none() {
-        let mut report = sample_report();
-        assert!(
-            !report.to_json().render().contains("engine"),
-            "a None engine must leave the rendering untouched"
-        );
-        report.engine = Some("event".into());
-        let text = RunReport::render_all(std::slice::from_ref(&report));
-        assert!(text.contains("\"engine\": \"event\""));
-        let back = RunReport::parse_all(&text).unwrap();
-        assert_eq!(back[0].engine.as_deref(), Some("event"));
     }
 
     #[test]

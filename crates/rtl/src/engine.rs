@@ -12,11 +12,13 @@
 //! outcome, so the engine accounts for them in closed form instead of
 //! re-evaluating.
 //!
-//! The dense stepper is retained verbatim as the *reference oracle*:
-//! both engines must produce bit-identical [`Activity`] (and therefore
-//! `RunReport`s) on every kernel. The contract is enforced by the
-//! differential test layer (`tests/differential.rs`) over seeded
-//! random fabrics and by `reproduce_all --engine both`.
+//! This is the only runtime engine: [`Fabric::run`] calls it. The
+//! dense stepper is retained verbatim as [`Fabric::run_reference`],
+//! the test oracle: both must produce bit-identical [`Activity`] (and
+//! therefore `RunReport`s) on every kernel. The contract is enforced
+//! by the differential suite (`tests/differential.rs`) over the paper
+//! kernels and seeded random fabrics, by the fault suite, and by
+//! `uecgra_dse::rtl_check`.
 //!
 //! # Scheduling model
 //!
@@ -43,56 +45,10 @@
 
 use crate::fabric::{Activity, EdgeTally, Fabric, FabricStop, FireEvent, Plan, SuppressorKind};
 use crate::queue::Token;
-use std::fmt;
 use uecgra_clock::{ClockSet, VfMode};
 use uecgra_compiler::bitstream::{Dir, PeRole};
 use uecgra_compiler::mapping::Coord;
 use uecgra_dfg::Op;
-
-/// Which simulation engine executes a fabric run.
-///
-/// Both engines implement the same cycle-level semantics and must
-/// produce bit-identical [`Activity`] on every configuration; the
-/// dense stepper is the reference oracle, the event-driven scheduler
-/// is the fast path (and the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The reference dense stepper: every PE examined on every tick.
-    Dense,
-    /// The event-driven scheduler: only PEs whose inputs, output
-    /// credits, or domain phase changed are re-evaluated.
-    #[default]
-    EventDriven,
-}
-
-impl Engine {
-    /// Both engines, reference first.
-    pub const ALL: [Engine; 2] = [Engine::Dense, Engine::EventDriven];
-
-    /// Stable short name (`"dense"` / `"event"`), used by `--engine`
-    /// flags and report tags.
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Dense => "dense",
-            Engine::EventDriven => "event",
-        }
-    }
-
-    /// Parse a `--engine` argument value.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "dense" => Some(Engine::Dense),
-            "event" | "event-driven" => Some(Engine::EventDriven),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// The five-way disposition of one local rising edge (mirrors the
 /// classification priority in the dense stepper's phase 1).
@@ -650,16 +606,6 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_labels_roundtrip() {
-        for e in Engine::ALL {
-            assert_eq!(Engine::parse(e.label()), Some(e));
-        }
-        assert_eq!(Engine::parse("event-driven"), Some(Engine::EventDriven));
-        assert_eq!(Engine::parse("fast"), None);
-        assert_eq!(Engine::default(), Engine::EventDriven);
-    }
 
     #[test]
     fn ready_sets_drain_row_major() {

@@ -527,21 +527,17 @@ impl Fabric {
         self.protocol.finish(&resident, t)
     }
 
-    /// Run to completion with the selected engine. Both engines are
-    /// bit-identical by contract (see [`crate::engine`]); the dense
-    /// stepper is the reference oracle, the event-driven scheduler the
-    /// fast path.
-    pub fn run_with(self, engine: crate::engine::Engine) -> Activity {
-        match engine {
-            crate::engine::Engine::Dense => self.run(),
-            crate::engine::Engine::EventDriven => crate::engine::run_event(self),
-        }
+    /// Run to completion with the event-driven scheduler (see
+    /// [`crate::engine`]), the fabric's only runtime engine.
+    pub fn run(self) -> Activity {
+        crate::engine::run_event(self)
     }
 
     /// Run to completion with the dense reference stepper: every PE is
-    /// examined on every PLL tick.
+    /// examined on every PLL tick. This is the test oracle that
+    /// [`Fabric::run`] must match bit for bit.
     #[allow(clippy::needless_range_loop)]
-    pub fn run(mut self) -> Activity {
+    pub fn run_reference(mut self) -> Activity {
         let (w, h) = (self.width, self.height);
         let mut fires = vec![vec![0u64; w]; h];
         let mut bypass_tokens = vec![vec![0u64; w]; h];

@@ -10,8 +10,10 @@
 //!   br control, multi-purpose registers, and perimeter SRAM access.
 //!   All-nominal clocks model an **E-CGRA**; mixed clocks model the
 //!   **UE-CGRA**.
-//! * [`engine`] — engine selection: the dense reference stepper vs.
-//!   the event-driven scheduler, bit-identical by contract.
+//! * [`engine`] — the event-driven scheduler behind [`Fabric::run`],
+//!   the only runtime engine. The dense stepper survives as
+//!   [`Fabric::run_reference`], the test oracle it must match bit for
+//!   bit.
 //! * [`queue`] — the two-entry bisynchronous queues whose visibility
 //!   rule embodies the elasticity-aware suppressor.
 //! * [`faults`] — the deterministic, seeded fault injector (payload
@@ -22,7 +24,6 @@
 //!   safety) whose fatal violations stop a run with a structured
 //!   error instead of a panic.
 //! * [`scratchpad`] — the perimeter SRAM banks.
-//! * [`inelastic`] — a statically-scheduled IE-CGRA reference model.
 //! * [`config_load`] — configuration and DMA cost models.
 //!
 //! # End-to-end example
@@ -54,15 +55,12 @@ pub mod config_load;
 pub mod engine;
 pub mod fabric;
 pub mod faults;
-pub mod inelastic;
 pub mod queue;
 pub mod scratchpad;
 pub mod trace;
 
 pub use checker::{ProtocolReport, ProtocolViolation, ViolationKind};
-pub use engine::Engine;
 pub use fabric::{Activity, Fabric, FabricConfig, FabricStop, SuppressorKind};
 pub use faults::{Fault, FaultKind, FaultPlan};
-pub use inelastic::InelasticSchedule;
 pub use scratchpad::Scratchpad;
 pub use trace::{to_vcd, TraceError};

@@ -11,7 +11,6 @@ use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_dfg::kernels::{self, Kernel};
 use uecgra_dfg::Op;
 use uecgra_rtl::fabric::{Fabric, FabricConfig, SuppressorKind};
-use uecgra_rtl::Engine;
 use uecgra_util::rng::SplitMix64;
 
 pub const MEM_WORDS: u32 = 64;
@@ -136,13 +135,15 @@ pub fn random_config(rng: &mut SplitMix64, w: usize, h: usize) -> FabricConfig {
     }
 }
 
-/// Run `bs` on both engines and assert bit-identical [`Activity`] —
+/// Run `bs` on the dense oracle ([`Fabric::run_reference`]) and the
+/// runtime engine ([`Fabric::run`]) and assert bit-identical
+/// [`Activity`] —
 /// including the protocol report. The cleanliness oracle only applies
 /// to fault-free configurations, so it is skipped when the config
 /// carries a fault plan.
 pub fn assert_engines_agree(bs: &Bitstream, mem: &[u32], config: &FabricConfig, label: &str) {
-    let dense = Fabric::new(bs, mem.to_vec(), config.clone()).run_with(Engine::Dense);
-    let event = Fabric::new(bs, mem.to_vec(), config.clone()).run_with(Engine::EventDriven);
+    let dense = Fabric::new(bs, mem.to_vec(), config.clone()).run_reference();
+    let event = Fabric::new(bs, mem.to_vec(), config.clone()).run();
     assert_eq!(
         dense.ticks, event.ticks,
         "{label}: tick counts diverge (dense {} vs event {})",

@@ -8,7 +8,8 @@
 //! report. These tests enforce it over seeded random 8×8 fabrics
 //! (random DVFS assignments, recurrence cycles through registers and
 //! queue loops, perimeter SRAM PEs) and over the real compiled paper
-//! kernels. Failures print the case seed; rerun a single case with
+//! kernels (nominal, POpt and EOpt DVFS) and the extension kernels
+//! (nominal and POpt). Failures print the case seed; rerun a single case with
 //! `UECGRA_CHECK_SEED=<seed>`.
 
 mod common;
@@ -18,9 +19,8 @@ use common::{
 };
 use uecgra_clock::VfMode;
 use uecgra_compiler::power_map::{power_map, Objective};
-use uecgra_dfg::kernels;
+use uecgra_dfg::kernels::{self, extra::extra_kernels, Kernel};
 use uecgra_rtl::fabric::{Fabric, SuppressorKind};
-use uecgra_rtl::Engine;
 use uecgra_util::check::forall;
 
 /// The tentpole property: ≥200 seeded random 8×8 fabrics, dense vs
@@ -48,22 +48,45 @@ fn random_rectangular_fabrics_run_identically() {
     });
 }
 
-#[test]
-fn paper_kernels_run_identically_at_nominal() {
-    for k in small_kernels() {
+fn assert_kernels_agree_at_nominal(ks: Vec<Kernel>) {
+    for k in ks {
         let modes = vec![VfMode::Nominal; k.dfg.node_count()];
         let (bs, config) = compiled(&k, &modes, 7);
         assert_engines_agree(&bs, &k.mem, &config, k.name);
     }
 }
 
+fn assert_kernels_agree_under(ks: Vec<Kernel>, objective: Objective) {
+    for k in ks {
+        let pm = power_map(&k.dfg, k.mem.clone(), k.iter_marker, objective);
+        let (bs, config) = compiled(&k, &pm.node_modes, 7);
+        assert_engines_agree(&bs, &k.mem, &config, &format!("{} ({objective:?})", k.name));
+    }
+}
+
+#[test]
+fn paper_kernels_run_identically_at_nominal() {
+    assert_kernels_agree_at_nominal(small_kernels());
+}
+
 #[test]
 fn paper_kernels_run_identically_under_popt_dvfs() {
-    for k in small_kernels() {
-        let pm = power_map(&k.dfg, k.mem.clone(), k.iter_marker, Objective::Performance);
-        let (bs, config) = compiled(&k, &pm.node_modes, 7);
-        assert_engines_agree(&bs, &k.mem, &config, k.name);
-    }
+    assert_kernels_agree_under(small_kernels(), Objective::Performance);
+}
+
+#[test]
+fn paper_kernels_run_identically_under_eopt_dvfs() {
+    assert_kernels_agree_under(small_kernels(), Objective::Energy);
+}
+
+#[test]
+fn extra_kernels_run_identically_at_nominal() {
+    assert_kernels_agree_at_nominal(extra_kernels(40));
+}
+
+#[test]
+fn extra_kernels_run_identically_under_popt_dvfs() {
+    assert_kernels_agree_under(extra_kernels(40), Objective::Performance);
 }
 
 #[test]
@@ -96,7 +119,7 @@ fn event_engine_functional_outputs_match_references() {
     for k in small_kernels() {
         let modes = vec![VfMode::Nominal; k.dfg.node_count()];
         let (bs, config) = compiled(&k, &modes, 7);
-        let act = Fabric::new(&bs, k.mem.clone(), config).run_with(Engine::EventDriven);
+        let act = Fabric::new(&bs, k.mem.clone(), config).run();
         let expect = k.reference_memory();
         assert_eq!(
             &act.mem[..expect.len()],

@@ -11,13 +11,53 @@
 
 mod common;
 
-use common::{assert_engines_agree, random_bitstream, random_config, MEM_WORDS};
+use common::{assert_engines_agree, compiled, random_bitstream, random_config, MEM_WORDS};
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::{Bitstream, Dir, OperandSel, PeConfig, PeRole};
-use uecgra_dfg::Op;
+use uecgra_compiler::power_map::{power_map, Objective};
+use uecgra_dfg::{kernels, Op};
 use uecgra_rtl::fabric::{Activity, Fabric, FabricConfig, FabricStop};
-use uecgra_rtl::{Engine, Fault, FaultKind, FaultPlan, ViolationKind};
+use uecgra_rtl::{Fault, FaultKind, FaultPlan, ViolationKind};
 use uecgra_util::check::forall;
+
+/// Compiled paper kernels under POpt DVFS, attacked the way the fault
+/// campaign attacks them: seeded single-fault plans at crossings that
+/// carried at least 8 tokens in a fault-free baseline, rotating through
+/// every fault class. Each faulty run must be bit-identical on both
+/// engines.
+#[test]
+fn seeded_faults_on_popt_kernels_keep_engines_bit_identical() {
+    let ks = [
+        kernels::llist::build_with_hops(40),
+        kernels::dither::build_with_pixels(40),
+    ];
+    for (i, k) in ks.iter().enumerate() {
+        let pm = power_map(&k.dfg, k.mem.clone(), k.iter_marker, Objective::Performance);
+        let (bs, config) = compiled(k, &pm.node_modes, 7);
+        let baseline = Fabric::new(&bs, k.mem.clone(), config.clone()).run();
+        let targets: Vec<_> = baseline
+            .protocol
+            .flows
+            .iter()
+            .filter(|(_, _, n)| *n >= 8)
+            .map(|&(pe, dir, _)| (pe, dir))
+            .collect();
+        let plan = FaultPlan::random_at(3 + i as u64, &targets, 12);
+        assert_eq!(plan.faults.len(), 12, "{}: no busy crossings", k.name);
+        for fault in plan.faults {
+            let config = FabricConfig {
+                faults: FaultPlan::single(fault),
+                ..config.clone()
+            };
+            assert_engines_agree(
+                &bs,
+                &k.mem,
+                &config,
+                &format!("{} {}", k.name, fault.label()),
+            );
+        }
+    }
+}
 
 /// The engines must agree on *faulty* runs exactly as they do on clean
 /// ones: same Activity, same violations, same (possibly fatal) stop.
@@ -215,8 +255,8 @@ fn conflicting_drivers_stop_with_a_structured_violation() {
         queue_capacity: 3,
         ..FabricConfig::default()
     };
-    let dense = Fabric::new(&bs, vec![], config.clone()).run();
-    let event = Fabric::new(&bs, vec![], config).run_with(Engine::EventDriven);
+    let dense = Fabric::new(&bs, vec![], config.clone()).run_reference();
+    let event = Fabric::new(&bs, vec![], config).run();
     assert_eq!(dense, event, "engines diverge on a malformed bitstream");
     assert_eq!(dense.stop, FabricStop::ProtocolViolation);
     let fatal = dense

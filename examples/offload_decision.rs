@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example offload_decision`
 
 use uecgra_core::energy::cgra_energy;
-use uecgra_core::pipeline::{run_kernel, Policy};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_dfg::kernels;
 use uecgra_rtl::config_load;
 use uecgra_system::{core_energy_pj, programs, system_speedup, CoreEnergyParams, OffloadOverheads};
@@ -31,7 +31,11 @@ fn main() {
         let core_pj = core_energy_pj(&CoreEnergyParams::default(), &core.mix, core.cycles);
 
         // UE-CGRA POpt with offload overheads.
-        let run = run_kernel(&k, Policy::UePerfOpt, 7).expect("kernel runs");
+        let run = RunRequest::new(&k)
+            .policy(Policy::UePerfOpt)
+            .seed(7)
+            .run()
+            .expect("kernel runs");
         let ov = OffloadOverheads {
             cfg_cycles: config_load::reconfiguration_cycles(&run.bitstream, true),
             data_cycles: config_load::data_load_cycles(k.mem.len()),

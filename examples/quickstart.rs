@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use uecgra_core::energy::cgra_energy;
-use uecgra_core::pipeline::{run_kernel, Policy};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_dfg::kernels;
 use uecgra_vlsi::GatingConfig;
 
@@ -28,7 +28,11 @@ fn main() {
     let mut baseline_pj = None;
 
     for policy in Policy::ALL {
-        let run = run_kernel(&kernel, policy, 7).expect("kernel compiles and runs");
+        let run = RunRequest::new(&kernel)
+            .policy(policy)
+            .seed(7)
+            .run()
+            .expect("kernel compiles and runs");
         assert_eq!(
             &run.activity.mem[..expect.len()],
             &expect[..],

@@ -1,42 +1,28 @@
 #!/usr/bin/env bash
 # CI smoke gate: build the self-timing harness and run it at the small
 # problem size. The harness fails (non-zero exit) if any kernel's
-# functional memory image diverges from the host reference, if the
-# 1-thread and N-thread runs are not bit-identical, or if the dense
-# and event-driven fabric engines disagree.
+# functional memory image diverges from the host reference, or if the
+# 1-thread and N-thread runs are not bit-identical. It takes no
+# arguments.
 #
 # On runners with >= 4 hardware threads the parallel speedup gate is
 # enforced too (UECGRA_SMOKE_MIN_SPEEDUP, default 3.0 at 8 threads per
 # the reproduction's target); on smaller machines it is report-only,
 # since a 1-core container cannot physically speed anything up.
-#
-# Usage: ci-smoke.sh [--engine dense|event|both]   (default both;
-# forwarded to the harness's engine-timing leg — with `both` the
-# event-engine speedup gate is enforced via
-# UECGRA_SMOKE_MIN_ENGINE_SPEEDUP, default 1.3: the event engine
-# typically lands near 1.8x on the quick kernel set, and the gate sits
-# safely under the noise floor of a loaded CI runner).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ENGINE="both"
-while [ "$#" -gt 0 ]; do
-    case "$1" in
-        --engine) ENGINE="$2"; shift 2 ;;
-        *) echo "ci-smoke: unknown argument $1" >&2; exit 2 ;;
-    esac
-done
+if [ "$#" -gt 0 ]; then
+    echo "ci-smoke: unknown argument $1" >&2
+    exit 2
+fi
 
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 if [ "${CORES}" -ge 4 ] && [ -z "${UECGRA_SMOKE_MIN_SPEEDUP:-}" ]; then
     export UECGRA_SMOKE_MIN_SPEEDUP="${UECGRA_SMOKE_REQUIRED_SPEEDUP:-3.0}"
 fi
-if [ "${ENGINE}" = "both" ] && [ -z "${UECGRA_SMOKE_MIN_ENGINE_SPEEDUP:-}" ]; then
-    export UECGRA_SMOKE_MIN_ENGINE_SPEEDUP="1.3"
-fi
 
 echo "ci-smoke: ${CORES} hardware threads," \
-     "speedup gate: ${UECGRA_SMOKE_MIN_SPEEDUP:-disabled}," \
-     "engines: ${ENGINE} (event gate: ${UECGRA_SMOKE_MIN_ENGINE_SPEEDUP:-disabled})"
+     "speedup gate: ${UECGRA_SMOKE_MIN_SPEEDUP:-disabled}"
 
-cargo run --release -q -p uecgra-bench --bin smoke_timing -- quick --engine "${ENGINE}"
+cargo run --release -q -p uecgra-bench --bin smoke_timing -- quick

@@ -4,7 +4,7 @@
 
 use uecgra_core::energy::cgra_energy;
 use uecgra_core::experiments::{run_all_policies, table3_row, SEED};
-use uecgra_core::pipeline::{run_kernel, Policy};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_dfg::kernels;
 use uecgra_model::{DfgSimulator, SimConfig};
 use uecgra_system::programs;
@@ -34,7 +34,11 @@ fn four_way_functional_agreement() {
         assert_eq!(analytical.mem, reference, "{}: analytical model", k.name);
 
         // Cycle-level fabric.
-        let fabric = run_kernel(&k, Policy::ECgra, SEED).expect("compiles");
+        let fabric = RunRequest::new(&k)
+            .policy(Policy::ECgra)
+            .seed(SEED)
+            .run()
+            .expect("compiles");
         assert_eq!(
             &fabric.activity.mem[..reference.len()],
             &reference[..],
@@ -56,7 +60,10 @@ fn dvfs_preserves_results_across_seeds() {
     let reference = k.reference_memory();
     for seed in [1u64, 7, 23] {
         for policy in Policy::ALL {
-            let run = run_kernel(&k, policy, seed)
+            let run = RunRequest::new(&k)
+                .policy(policy)
+                .seed(seed)
+                .run()
                 .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", policy.label()));
             assert_eq!(
                 &run.activity.mem[..reference.len()],
@@ -85,7 +92,11 @@ fn analytical_and_fabric_throughput_are_consistent() {
         let analytical = DfgSimulator::new(&k.dfg, modes, k.mem.clone(), config).run();
         let a_ii = analytical.steady_ii(8).expect("analytical steady state");
 
-        let fabric = run_kernel(&k, Policy::ECgra, SEED).expect("compiles");
+        let fabric = RunRequest::new(&k)
+            .policy(Policy::ECgra)
+            .seed(SEED)
+            .run()
+            .expect("compiles");
         let f_ii = fabric.ii();
         assert!(
             f_ii >= a_ii - 0.7,
@@ -134,11 +145,19 @@ fn energy_accounting_sanity() {
     let small = kernels::susan::build_with_iters(60);
     let large = kernels::susan::build_with_iters(240);
     let e_small = cgra_energy(
-        &run_kernel(&small, Policy::ECgra, SEED).expect("runs"),
+        &RunRequest::new(&small)
+            .policy(Policy::ECgra)
+            .seed(SEED)
+            .run()
+            .expect("runs"),
         GatingConfig::FULL,
     );
     let e_large = cgra_energy(
-        &run_kernel(&large, Policy::ECgra, SEED).expect("runs"),
+        &RunRequest::new(&large)
+            .policy(Policy::ECgra)
+            .seed(SEED)
+            .run()
+            .expect("runs"),
         GatingConfig::FULL,
     );
     let ratio = e_large.per_iteration_pj() / e_small.per_iteration_pj();
@@ -157,8 +176,16 @@ fn energy_accounting_sanity() {
 fn verdicts_are_seed_robust() {
     let k = kernels::llist::build_with_hops(80);
     for seed in [1u64, 7, 13] {
-        let e = run_kernel(&k, Policy::ECgra, seed).expect("runs");
-        let p = run_kernel(&k, Policy::UePerfOpt, seed).expect("runs");
+        let e = RunRequest::new(&k)
+            .policy(Policy::ECgra)
+            .seed(seed)
+            .run()
+            .expect("runs");
+        let p = RunRequest::new(&k)
+            .policy(Policy::UePerfOpt)
+            .seed(seed)
+            .run()
+            .expect("runs");
         let speedup = e.ii() / p.ii();
         assert!(
             speedup > 1.2 && speedup < 1.6,
@@ -174,7 +201,10 @@ fn extension_kernels_run_end_to_end() {
     for k in kernels::extra::extra_kernels(48) {
         let reference = k.reference_memory();
         for policy in Policy::ALL {
-            let run = run_kernel(&k, policy, SEED)
+            let run = RunRequest::new(&k)
+                .policy(policy)
+                .seed(SEED)
+                .run()
                 .unwrap_or_else(|e| panic!("{} {}: {e}", k.name, policy.label()));
             assert_eq!(
                 &run.activity.mem[..reference.len()],
@@ -185,8 +215,16 @@ fn extension_kernels_run_end_to_end() {
             );
         }
         // POpt accelerates all three.
-        let e = run_kernel(&k, Policy::ECgra, SEED).unwrap();
-        let p = run_kernel(&k, Policy::UePerfOpt, SEED).unwrap();
+        let e = RunRequest::new(&k)
+            .policy(Policy::ECgra)
+            .seed(SEED)
+            .run()
+            .unwrap();
+        let p = RunRequest::new(&k)
+            .policy(Policy::UePerfOpt)
+            .seed(SEED)
+            .run()
+            .unwrap();
         let speedup = e.ii() / p.ii();
         assert!(speedup > 1.1, "{}: POpt speedup {speedup:.2}", k.name);
     }
