@@ -19,7 +19,7 @@ use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_core::experiments::SEED;
 use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_dfg::kernels::{self, synthetic};
-use uecgra_model::sweep::sweep_group_modes;
+use uecgra_dse::{explore, DseConfig, EvalCache};
 use uecgra_model::{DfgSimulator, SimConfig};
 use uecgra_rtl::fabric::{Fabric, FabricConfig};
 use uecgra_vlsi::area::{pe_area, CgraKind, FIG10_CYCLE_TIMES};
@@ -63,11 +63,20 @@ fn bench_analytical_sim() {
     );
 }
 
-/// Figure 3: the full per-group VF sweep.
+/// Figure 3: the full per-group VF sweep (exhaustive DSE on a cold
+/// cache).
 fn bench_fig3_sweep() {
     bench("fig03_sweep", "case_study_full_sweep", 10, || {
         let cs = synthetic::fig3_case_study();
-        sweep_group_modes(&cs.dfg, vec![0; 4096], cs.iter_marker)
+        let cfg = DseConfig::default();
+        explore(
+            &cs.dfg,
+            vec![0; 4096],
+            cs.iter_marker,
+            &[],
+            &cfg,
+            &EvalCache::new(),
+        )
     });
 }
 

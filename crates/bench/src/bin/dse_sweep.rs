@@ -12,17 +12,17 @@
 //!
 //! Flags:
 //!
-//! * `--json <path>` — write one schema-v3 report per kernel (dse
+//! * `--json <path>` — write one report per kernel (dse
 //!   section only; no timings, so the bytes are identical at any
 //!   `UECGRA_THREADS` and across cold/warm caches).
 //! * `--cache <path>` — persistent evaluation cache (loaded if
 //!   present, saved back after the sweep).
 //! * `--budget <N>` — unique-evaluation budget per kernel.
-//! * `--rtl-check` — cross-check every kernel's best assignment on
-//!   the fabric and its dense oracle against the host reference
-//!   (slow; off by default).
 //!
-//! A malformed command line is a usage error (exit status 2).
+//! Every kernel's best assignment is also cross-checked on the fabric
+//! and its dense oracle against the host reference
+//! ([`rtl_crosscheck`]). A malformed command line is a usage error
+//! (exit status 2).
 
 use uecgra_bench::{evaluation_kernels, header, usage_error, write_reports};
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
@@ -30,13 +30,12 @@ use uecgra_core::experiments::SEED;
 use uecgra_dse::{explore, rtl_crosscheck, DseConfig, EvalCache};
 use uecgra_probe::RunReport;
 
-const USAGE: &str = "[--json <path>] [--cache <path>] [--budget N] [--rtl-check]";
+const USAGE: &str = "[--json <path>] [--cache <path>] [--budget N]";
 
 struct Flags {
     json: Option<String>,
     cache: Option<String>,
     budget: usize,
-    rtl_check: bool,
 }
 
 fn flags() -> Flags {
@@ -44,7 +43,6 @@ fn flags() -> Flags {
         json: None,
         cache: None,
         budget: 256,
-        rtl_check: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -61,7 +59,6 @@ fn flags() -> Flags {
                     _ => usage_error("--budget must be a positive integer", USAGE),
                 }
             }
-            "--rtl-check" => f.rtl_check = true,
             other => usage_error(&format!("unknown argument {other:?}"), USAGE),
         }
     }
@@ -77,7 +74,6 @@ fn main() {
     let cfg = DseConfig {
         seed: SEED,
         budget: f.budget,
-        ..DseConfig::default()
     };
 
     let line = format!(
@@ -99,10 +95,8 @@ fn main() {
             out.best.edp(),
             out.baseline.edp()
         );
-        if f.rtl_check {
-            rtl_crosscheck(&k, &out.best.modes, SEED)
-                .unwrap_or_else(|e| panic!("{}: RTL cross-check failed: {e}", k.name));
-        }
+        rtl_crosscheck(&k, &out.best.modes, SEED)
+            .unwrap_or_else(|e| panic!("{}: RTL cross-check failed: {e}", k.name));
         println!(
             "{:<8} {:>10} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>7.3}",
             k.name,
@@ -123,9 +117,7 @@ fn main() {
             ..RunReport::default()
         });
     }
-    if f.rtl_check {
-        println!("rtl check: every best assignment matches the host reference on both engines");
-    }
+    println!("rtl check: every best assignment matches the host reference on both engines");
     eprintln!(
         "cache: {} entries, {} hits / {} misses ({:.0}% hit rate)",
         cache.len(),

@@ -11,7 +11,7 @@
 //! `--disable-faults` runs the control leg (checker on, injector off),
 //! which must be entirely clean. The process exits nonzero when the
 //! gate fails: any abort, any silent corruption, or any control-leg
-//! violation. `--json` writes the schema-v2 `fault_campaign` report.
+//! violation. `--json` writes the `fault_campaign` report.
 //! A malformed command line is a usage error (exit status 2).
 
 use uecgra_bench::campaign::{campaign_report, gate_passes, run_campaign, CampaignConfig};

@@ -20,7 +20,7 @@
 //!
 //! The control leg (`faults_enabled: false`) runs the same kernels
 //! with the checker on and the injector off, and must be entirely
-//! clean. Campaign results serialize as the additive schema-v2
+//! clean. Campaign results serialize as the probe report's optional
 //! `fault_campaign` section, and are bit-identical for a given seed at
 //! any `UECGRA_THREADS` setting (specimens are index-addressed through
 //! [`uecgra_util::par_tabulate`]).
@@ -208,7 +208,7 @@ pub fn gate_passes(section: &CampaignSection) -> bool {
     true
 }
 
-/// Wrap a campaign section in a [`RunReport`] (the v2 schema carrier).
+/// Wrap a campaign section in a [`RunReport`].
 pub fn campaign_report(name: impl Into<String>, section: CampaignSection) -> RunReport {
     RunReport {
         name: name.into(),

@@ -1,4 +1,4 @@
-//! Campaign determinism: the schema-v2 fault-campaign JSON must be a
+//! Campaign determinism: the fault-campaign JSON must be a
 //! pure function of the campaign seed — byte-identical across worker
 //! thread counts.
 

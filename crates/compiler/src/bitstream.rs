@@ -438,15 +438,6 @@ impl Bitstream {
             .collect()
     }
 
-    /// The same stream as 32-bit inter-PE messages (low word, then
-    /// high word, per PE).
-    pub fn message_words(&self) -> Vec<u32> {
-        self.words()
-            .into_iter()
-            .flat_map(|w| [(w & 0xFFFF_FFFF) as u32, (w >> 32) as u32])
-            .collect()
-    }
-
     /// Count of PEs by role: `(compute, route_only, gated)`.
     pub fn role_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);

@@ -490,10 +490,8 @@ mod tests {
             ],
         };
         let lowered = lower(&l).unwrap();
-        let mut mem = vec![0u32; 32];
-        for i in 0..8 {
-            mem[i] = (i as u32) + 1;
-        }
+        let mut mem: Vec<u32> = (1..=8).collect();
+        mem.resize(32, 0);
         let out = simulate(&lowered, mem);
         let mut acc = 0;
         for i in 0..8 {

@@ -24,7 +24,7 @@
 //! `dse` explores VF-mode assignments of the lowered (logical) DFG
 //! through the analytical model and prints the Pareto frontier over
 //! (delay, energy, EDP); `--cache` persists the memoized evaluation
-//! cache across invocations and `--json` writes a schema-v3 report
+//! cache across invocations and `--json` writes a report
 //! with the `dse` section. Unlike `run`, a `dse` report carries **no
 //! timings**: its bytes are identical across thread counts and across
 //! cold vs warm caches.
@@ -143,7 +143,6 @@ fn dse_command(
     let cfg = DseConfig {
         seed: args.seed,
         budget: args.budget,
-        ..DseConfig::default()
     };
     let cache = match &args.cache {
         Some(path) => EvalCache::load(path)?,
@@ -377,10 +376,10 @@ fn real_main() -> Result<(), CliError> {
         eprintln!("wrote report to {path}");
     }
     if let Some((a, b)) = args.dump {
-        for (i, chunk) in run.activity.mem[a..b.min(run.activity.mem.len())]
-            .chunks(8)
-            .enumerate()
-        {
+        // The range may run past the memory image; dump what exists.
+        let end = b.min(run.activity.mem.len());
+        let a = a.min(end);
+        for (i, chunk) in run.activity.mem[a..end].chunks(8).enumerate() {
             print!("{:>6}:", a + i * 8);
             for w in chunk {
                 print!(" {w:>10}");

@@ -89,10 +89,12 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
                 let (a, b) = v
                     .split_once("..")
                     .ok_or_else(|| "--dump-mem expects A..B".to_string())?;
-                args.dump = Some((
-                    a.parse().map_err(|e| format!("--dump-mem: {e}"))?,
-                    b.parse().map_err(|e| format!("--dump-mem: {e}"))?,
-                ));
+                let a: usize = a.parse().map_err(|e| format!("--dump-mem: {e}"))?;
+                let b: usize = b.parse().map_err(|e| format!("--dump-mem: {e}"))?;
+                if a > b {
+                    return Err(format!("--dump-mem: start {a} is past end {b}"));
+                }
+                args.dump = Some((a, b));
             }
             "--json" => args.json = Some(value()?),
             "--budget" => {
@@ -192,6 +194,16 @@ mod tests {
         assert_eq!(
             parse(&["run", "k.loop", "--dump-mem", "16"]).unwrap_err(),
             "--dump-mem expects A..B"
+        );
+        assert_eq!(
+            parse(&["run", "k.loop", "--dump-mem", "5..2"]).unwrap_err(),
+            "--dump-mem: start 5 is past end 2"
+        );
+        assert_eq!(
+            parse(&["run", "k.loop", "--dump-mem", "3..3"])
+                .unwrap()
+                .dump,
+            Some((3, 3))
         );
         assert!(parse(&["run", "k.loop", "--frobnicate"])
             .unwrap_err()

@@ -8,7 +8,7 @@ use crate::energy::{cgra_energy, global_scale_point, CgraEnergy};
 use crate::error::Error;
 use crate::pipeline::{CgraRun, Policy};
 use uecgra_clock::VfMode;
-use uecgra_dfg::{Kernel, NodeId};
+use uecgra_dfg::Kernel;
 use uecgra_rtl::config_load;
 use uecgra_system::{core_energy_pj, programs, CoreEnergyParams, OffloadOverheads};
 use uecgra_vlsi::GatingConfig;
@@ -324,11 +324,6 @@ pub fn energy_contour(run: &CgraRun, label: &'static str) -> EnergyContour {
         modes,
         ops,
     }
-}
-
-/// The placed coordinate of a DFG node in a run (for annotations).
-pub fn placed_at(run: &CgraRun, node: NodeId) -> (usize, usize) {
-    run.mapped.coord_of(node)
 }
 
 #[cfg(test)]

@@ -99,7 +99,7 @@ fn json_report_round_trips_through_check_report() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("wrote report to"));
 
     let text = std::fs::read_to_string(&json).expect("report written");
-    assert!(text.contains("\"schema_version\": 1"), "{text}");
+    assert!(text.contains("\"schema_version\": 3"), "{text}");
     // The interactive CLI is the one writer that embeds wall-clock
     // phase timings.
     assert!(text.contains("\"timings\""), "{text}");
@@ -158,4 +158,32 @@ fn unknown_flags_are_rejected() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+#[test]
+fn dump_ranges_never_panic() {
+    let src = write_source("uecgra_cli_dump.loop", ACCUMULATE);
+    let run = |range: &str| {
+        Command::new(bin())
+            .args(["run", src.to_str().unwrap(), "--dump-mem", range])
+            .output()
+            .expect("binary runs")
+    };
+    // A reversed range is a usage error, not a slice panic.
+    let out = run("5..2");
+    assert_ne!(out.status.code(), Some(101), "panicked");
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("past end"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // A range beyond the memory image dumps nothing.
+    let out = run("100000..100008");
+    assert_ne!(out.status.code(), Some(101), "panicked");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

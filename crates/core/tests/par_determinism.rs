@@ -10,12 +10,20 @@ use uecgra_core::experiments::SEED;
 use uecgra_core::pipeline::run_kernels_parallel;
 use uecgra_core::report::run_report;
 use uecgra_dfg::kernels::{self, synthetic};
-use uecgra_model::sweep::{sweep_group_modes, SweepResult};
+use uecgra_dse::{explore_points, DseConfig, DseOutcome, DsePoint, EvalCache};
 use uecgra_probe::RunReport;
 
-fn fig3_sweep() -> SweepResult {
+/// The Figure 3 exhaustive sweep, every evaluated point included.
+fn fig3_sweep() -> (DseOutcome, Vec<DsePoint>) {
     let cs = synthetic::fig3_case_study();
-    sweep_group_modes(&cs.dfg, vec![0; 4096], cs.iter_marker)
+    explore_points(
+        &cs.dfg,
+        vec![0; 4096],
+        cs.iter_marker,
+        &[],
+        &DseConfig::default(),
+        &EvalCache::new(),
+    )
 }
 
 #[test]
@@ -33,13 +41,13 @@ fn one_thread_and_eight_threads_are_bit_identical() {
     let runs_par = run_kernels_parallel(&kernels, SEED);
     std::env::remove_var("UECGRA_THREADS");
 
-    // The full sweep — every point's modes, speedup, and efficiency —
-    // must match exactly, not approximately.
+    // The full sweep — every point's modes and measurement, and the
+    // frontier — must match exactly, not approximately.
     assert_eq!(
         sweep_serial, sweep_par,
         "sweep diverged across thread counts"
     );
-    assert!(sweep_serial.points.len() >= 243, "sweep is non-trivial");
+    assert!(sweep_serial.1.len() >= 243, "sweep is non-trivial");
 
     // Every kernel × policy run: identical Activity (fires, memory
     // image, cycle counts — PartialEq covers all fields) and modes.

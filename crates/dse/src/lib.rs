@@ -20,7 +20,7 @@
 //! * [`cache`] — the thread-safe memo table and its on-disk form.
 //! * [`pareto`] — dominance and frontier extraction.
 //! * [`search`] — the explorer (pruned exhaustive / seeded hill-climb).
-//! * [`rtl_check`] — opt-in cycle-level cross-check of chosen points.
+//! * [`rtl_check`] — cycle-level cross-check of chosen points.
 
 #![warn(missing_docs)]
 
@@ -34,4 +34,4 @@ pub use cache::{EvalCache, CACHE_FORMAT_VERSION};
 pub use key::{combine, digest_bytes, digest_json, Digest};
 pub use pareto::{dominates, modes_string, pareto_frontier, parse_modes, DsePoint};
 pub use rtl_check::rtl_crosscheck;
-pub use search::{candidate_key, config_digest, explore, DseConfig, DseOutcome};
+pub use search::{candidate_key, config_digest, explore, explore_points, DseConfig, DseOutcome};

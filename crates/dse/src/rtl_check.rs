@@ -1,4 +1,4 @@
-//! Opt-in RTL cross-check of a DSE design point.
+//! RTL cross-check of a DSE design point.
 //!
 //! The explorer scores candidates with the analytical model only; this
 //! module re-validates a chosen assignment on the cycle-level fabric by
@@ -7,8 +7,8 @@
 //! event-driven engine ([`Fabric::run`]) **and** the dense reference
 //! stepper ([`Fabric::run_reference`]), and require bit-identical
 //! activity plus a final memory image matching the kernel's host
-//! reference. This is the `--rtl-check` leg of `dse_sweep` — too slow
-//! for the inner search loop, exactly right for the frontier members
+//! reference. `dse_sweep` runs it on every kernel's best assignment —
+//! too slow for the inner search loop, exactly right for the points
 //! the search actually recommends.
 
 use uecgra_clock::VfMode;

@@ -43,6 +43,12 @@ use uecgra_model::{EnergyDelay, EnergyDelayEstimator, ModelParams};
 use uecgra_probe::Json;
 use uecgra_util::SplitMix64;
 
+/// Hill-climb restarts (the exhaustive strategy has none).
+const RESTARTS: usize = 6;
+
+/// Measurement window (iterations) forwarded to the estimator.
+const ITERATIONS: u64 = 96;
+
 /// Explorer knobs. [`Default`] matches the CLI defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DseConfig {
@@ -51,10 +57,6 @@ pub struct DseConfig {
     /// Maximum *unique* model evaluations; also the exhaustive-
     /// enumeration threshold (`3^G <= budget` enumerates).
     pub budget: usize,
-    /// Hill-climb restarts (ignored by the exhaustive strategy).
-    pub restarts: usize,
-    /// Measurement window forwarded to the estimator.
-    pub iterations: u64,
 }
 
 impl Default for DseConfig {
@@ -62,8 +64,6 @@ impl Default for DseConfig {
         DseConfig {
             seed: 7,
             budget: 256,
-            restarts: 6,
-            iterations: 96,
         }
     }
 }
@@ -96,7 +96,7 @@ impl DseOutcome {
         self.best.edp() <= self.baseline.edp()
     }
 
-    /// The outcome as a probe schema-v3 report section. Only search-
+    /// The outcome as a probe report section. Only search-
     /// deterministic quantities cross over — cache hit statistics stay
     /// out so reports are byte-identical across cold and warm caches.
     pub fn report_section(&self, cfg: &DseConfig) -> uecgra_probe::DseSection {
@@ -315,6 +315,24 @@ pub fn explore(
     cfg: &DseConfig,
     cache: &EvalCache,
 ) -> DseOutcome {
+    explore_points(dfg, mem, marker, extra_hops, cfg, cache).0
+}
+
+/// [`explore`], also returning every evaluated point in request order
+/// (seed round first, duplicates included). Figure 3 plots the whole
+/// exhaustive space, not only its frontier.
+///
+/// # Panics
+///
+/// As [`explore`].
+pub fn explore_points(
+    dfg: &Dfg,
+    mem: Vec<u32>,
+    marker: NodeId,
+    extra_hops: &[u32],
+    cfg: &DseConfig,
+    cache: &EvalCache,
+) -> (DseOutcome, Vec<DsePoint>) {
     use uecgra_compiler::power_map::{power_map_routed, Objective};
 
     // Grouping, exactly as the greedy pass groups (phase 1).
@@ -347,14 +365,14 @@ pub fn explore(
 
     let estimator = EnergyDelayEstimator::new(dfg, mem.clone(), marker)
         .with_edge_latency(extra_hops.to_vec())
-        .with_iterations(cfg.iterations);
+        .with_iterations(ITERATIONS);
     let config = config_digest(
         dfg,
         &mem,
         marker,
         extra_hops,
         estimator.params(),
-        cfg.iterations,
+        ITERATIONS,
     );
     let mut ev = Evaluator {
         estimator,
@@ -426,7 +444,7 @@ pub fn explore(
             .collect();
         record(&all, &mut ev);
     } else {
-        for restart in 0..cfg.restarts {
+        for restart in 0..RESTARTS {
             if ev.unique_len() >= cfg.budget {
                 break;
             }
@@ -485,7 +503,7 @@ pub fn explore(
         })
         .expect("non-empty frontier")
         .clone();
-    DseOutcome {
+    let outcome = DseOutcome {
         strategy,
         groups: groups.len(),
         evaluations: ev.evaluations,
@@ -493,7 +511,8 @@ pub fn explore(
         baseline,
         frontier,
         best,
-    }
+    };
+    (outcome, evaluated)
 }
 
 #[cfg(test)]
@@ -522,7 +541,6 @@ mod tests {
     fn tight_budgets_fall_back_to_hill_climb() {
         let cfg = DseConfig {
             budget: 20,
-            restarts: 2,
             ..DseConfig::default()
         };
         let out = run(&cfg);
@@ -532,14 +550,92 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic_and_cache_transparent() {
-        let toy = synthetic::fig2_toy();
+        use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
+        use uecgra_dfg::kernels::{dither, llist};
+
+        // Small routed Table II kernels sharing one cache, one per
+        // strategy.
         let cfg = DseConfig::default();
         let cache = EvalCache::new();
-        let cold = explore(&toy.dfg, vec![0; 2048], toy.iter_marker, &[], &cfg, &cache);
-        // Same cache now warm: every value identical, fewer misses.
-        let warm = explore(&toy.dfg, vec![0; 2048], toy.iter_marker, &[], &cfg, &cache);
-        assert_eq!(cold, warm);
-        assert_eq!(cache.misses(), cold.unique_configs);
+        for (k, strategy) in [
+            (llist::build_with_hops(40), "exhaustive"),
+            (dither::build_with_pixels(40), "hillclimb"),
+        ] {
+            let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
+            let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+            let run = || explore(&k.dfg, k.mem.clone(), k.iter_marker, &extra, &cfg, &cache);
+            let misses = cache.misses();
+            let cold = run();
+            assert_eq!(cold.strategy, strategy, "{}", k.name);
+            assert_eq!(cache.misses() - misses, cold.unique_configs, "{}", k.name);
+            // Same cache now warm: every value identical, nothing
+            // measured again.
+            assert_eq!(run(), cold, "{}", k.name);
+            assert_eq!(cache.misses() - misses, cold.unique_configs, "{}", k.name);
+            assert!(cold.dominates_baseline(), "{}", k.name);
+        }
+    }
+
+    /// The Figure 3 case study, explored exhaustively: the outcome,
+    /// the all-nominal measurement, and every evaluated point as
+    /// (speedup, efficiency) over all-nominal.
+    fn fig3() -> (DseOutcome, EnergyDelay, Vec<(f64, f64)>) {
+        let cs = synthetic::fig3_case_study();
+        let cfg = DseConfig::default();
+        let mem = vec![0; 4096];
+        let (out, points) =
+            explore_points(&cs.dfg, mem, cs.iter_marker, &[], &cfg, &EvalCache::new());
+        assert_eq!(out.strategy, "exhaustive");
+        let nominal = points
+            .iter()
+            .find(|p| p.modes.iter().all(|&m| m == VfMode::Nominal))
+            .expect("all-nominal is a seed")
+            .ed;
+        let rel = points
+            .iter()
+            .map(|p| (p.ed.speedup_over(&nominal), p.ed.efficiency_over(&nominal)))
+            .collect();
+        (out, nominal, rel)
+    }
+
+    #[test]
+    fn fig3_all_nominal_is_unity() {
+        // The all-nominal seed and its enumerated copy.
+        let (_, _, rel) = fig3();
+        assert!(rel.iter().filter(|&&p| p == (1.0, 1.0)).count() >= 2);
+    }
+
+    #[test]
+    fn fig3_has_a_sprint_and_rest_point() {
+        // Paper Figure 3's circled point: ~1.4x speedup, ~1.2x
+        // efficiency (sprint the cycle, rest the live-ins).
+        let (_, _, rel) = fig3();
+        assert!(rel.iter().any(|&(s, e)| s >= 1.3 && e >= 1.1));
+    }
+
+    #[test]
+    fn fig3_has_a_same_speed_resting_point() {
+        // Resting alone buys efficiency at unchanged speed (paper
+        // ~2.2x; ~1.39x here, see EXPERIMENTS.md).
+        let (_, _, rel) = fig3();
+        assert!(rel.iter().any(|&(s, e)| e >= 1.3 && (s - 1.0).abs() < 1e-9));
+    }
+
+    #[test]
+    fn fig3_frontier_trades_off() {
+        // Sorted by delay: slower members must be cheaper.
+        let (out, _, _) = fig3();
+        assert!(!out.frontier.is_empty());
+        assert!(out
+            .frontier
+            .windows(2)
+            .all(|w| w[0].energy() >= w[1].energy()));
+    }
+
+    #[test]
+    fn fig3_best_edp_beats_all_nominal() {
+        let (out, nominal, _) = fig3();
+        assert!(out.best.ed.edp_gain_over(&nominal) > 1.0);
     }
 
     #[test]

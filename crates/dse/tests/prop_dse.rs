@@ -15,9 +15,7 @@ fn random_points(rng: &mut SplitMix64, n: usize) -> Vec<DsePoint> {
         .map(|i| DsePoint {
             // Distinct mode vectors so frontier members are tellable
             // apart even when measurements collide.
-            modes: (0..8)
-                .map(|b| VfMode::ALL[((i >> b) % 3) as usize])
-                .collect(),
+            modes: (0..8).map(|b| VfMode::ALL[(i >> b) % 3]).collect(),
             ed: EnergyDelay {
                 // Quantized to provoke exact ties and duplicates.
                 throughput: 1.0 / (1.0 + rng.range(8) as f64),

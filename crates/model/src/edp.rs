@@ -87,12 +87,6 @@ impl<'a> EnergyDelayEstimator<'a> {
         }
     }
 
-    /// Override the model parameters.
-    pub fn with_params(mut self, params: ModelParams) -> Self {
-        self.power = PowerModel::new(params);
-        self
-    }
-
     /// Override the measurement window (iterations simulated).
     pub fn with_iterations(mut self, iterations: u64) -> Self {
         self.iterations = iterations;

@@ -3,8 +3,7 @@
 //! Discrete-event performance simulation of dataflow graphs on elastic
 //! and ultra-elastic CGRAs ([`sim`]), plus the first-order power/energy
 //! model ([`power`]) and energy-delay estimation used by the compiler's
-//! power-mapping pass ([`edp`]). [`sweep`] drives the Figure 3 design
-//! space exploration.
+//! power-mapping pass ([`edp`]).
 
 #![warn(missing_docs)]
 
@@ -12,7 +11,6 @@ pub mod edp;
 pub mod params;
 pub mod power;
 pub mod sim;
-pub mod sweep;
 
 pub use edp::{EnergyDelay, EnergyDelayEstimator};
 pub use params::{ModelParams, VfCurve};

@@ -39,6 +39,6 @@ pub mod sink;
 pub use json::{Json, JsonError};
 pub use schema::{
     CampaignEntry, CampaignSection, DsePointReport, DseSection, PeReport, PhaseTimings,
-    QueueReport, RunReport, SchemaError, SCHEMA_VERSION, SCHEMA_VERSION_V2, SCHEMA_VERSION_V3,
+    QueueReport, RunReport, SchemaError, SCHEMA_VERSION,
 };
 pub use sink::{Phase, ProbeSink, TimingSink};

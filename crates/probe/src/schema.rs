@@ -16,22 +16,9 @@
 
 use crate::json::{Json, JsonError};
 
-/// Version stamp embedded in every report that carries only the v1
-/// fields.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Version stamp for reports that carry the additive v2 fault-campaign
-/// section. v1 documents remain valid v2 documents (the section is
-/// optional), so the parser accepts both and the serializer stamps the
-/// lowest version that can describe the report — existing reproduction
-/// reports stay byte-identical.
-pub const SCHEMA_VERSION_V2: u64 = 2;
-
-/// Version stamp for reports that carry the additive v3 design-space-
-/// exploration section. Same additive contract as v2: the serializer
-/// stamps the lowest version that can describe the report, so v1/v2
-/// documents stay byte-identical.
-pub const SCHEMA_VERSION_V3: u64 = 3;
+/// Version stamp embedded in every report. Every section beyond the
+/// core fields (timings, fault campaign, dse) is optional.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// A schema-level decoding error (structurally valid JSON that does
 /// not describe a report).
@@ -425,7 +412,7 @@ impl CampaignEntry {
     }
 }
 
-/// The schema-v2 fault-campaign section: seeded injection sweep
+/// The fault-campaign section: seeded injection sweep
 /// results aggregated over one or more kernels.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CampaignSection {
@@ -530,7 +517,7 @@ impl DsePointReport {
     }
 }
 
-/// The schema-v3 design-space-exploration section: what one
+/// The design-space-exploration section: what one
 /// `uecgra dse` / `dse_sweep` search found for one kernel.
 ///
 /// Cache hit/miss statistics are deliberately **not** part of the
@@ -649,28 +636,17 @@ pub struct RunReport {
     /// Free-form scalar metrics (figure binaries put their published
     /// numbers here).
     pub metrics: Vec<(String, f64)>,
-    /// Schema-v2 fault-campaign results. Presence of this section is
-    /// what bumps the serialized `schema_version` to 2; plain run
-    /// reports stay at version 1 byte-for-byte.
+    /// Fault-campaign results (omitted when `None`).
     pub fault_campaign: Option<CampaignSection>,
-    /// Schema-v3 design-space-exploration results. Presence of this
-    /// section bumps the serialized `schema_version` to 3; reports
-    /// without it keep their previous version byte-for-byte.
+    /// Design-space-exploration results (omitted when `None`).
     pub dse: Option<DseSection>,
 }
 
 impl RunReport {
     /// Serialize to a [`Json`] value with the canonical field order.
     pub fn to_json(&self) -> Json {
-        let version = if self.dse.is_some() {
-            SCHEMA_VERSION_V3
-        } else if self.fault_campaign.is_some() {
-            SCHEMA_VERSION_V2
-        } else {
-            SCHEMA_VERSION
-        };
         let mut fields: Vec<(String, Json)> = vec![
-            ("schema_version".into(), Json::Uint(version)),
+            ("schema_version".into(), Json::Uint(SCHEMA_VERSION)),
             ("name".into(), Json::Str(self.name.clone())),
         ];
         if let Some(kernel) = &self.kernel {
@@ -735,10 +711,9 @@ impl RunReport {
     /// or an unknown schema version.
     pub fn from_json(v: &Json) -> Result<RunReport, SchemaError> {
         let version = req_u64(v, "schema_version")?;
-        if !(SCHEMA_VERSION..=SCHEMA_VERSION_V3).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(SchemaError::new(format!(
-                "unsupported schema version {version} \
-                 (expected {SCHEMA_VERSION} through {SCHEMA_VERSION_V3})"
+                "unsupported schema version {version} (expected {SCHEMA_VERSION})"
             )));
         }
         let pes = req(v, "pes")?
@@ -921,7 +896,7 @@ mod tests {
         report.metrics.clear();
         let expected = "\
 {
-  \"schema_version\": 1,
+  \"schema_version\": 3,
   \"name\": \"dither/POpt\",
   \"kernel\": \"dither\",
   \"policy\": \"UE-CGRA POpt\",
@@ -981,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_campaign_section_round_trips_at_v2() {
+    fn fault_campaign_section_round_trips() {
         let mut report = sample_report();
         report.fault_campaign = Some(CampaignSection {
             seed: 99,
@@ -1000,7 +975,6 @@ mod tests {
             }],
         });
         let text = RunReport::render_all(std::slice::from_ref(&report));
-        assert!(text.contains("\"schema_version\": 2"), "{text}");
         assert!(text.contains("\"fault_campaign\""));
         let back = RunReport::parse_all(&text).unwrap();
         assert_eq!(back, vec![report]);
@@ -1008,41 +982,15 @@ mod tests {
     }
 
     #[test]
-    fn plain_reports_stay_at_version_1() {
-        // The v2/v3 sections are additive: a report without them must
-        // render exactly as it did before the sections existed.
-        let text = sample_report().to_json().render();
-        assert!(text.contains("\"schema_version\": 1"));
-        assert!(!text.contains("fault_campaign"));
-        assert!(!text.contains("\"dse\""));
-    }
-
-    #[test]
-    fn dse_section_round_trips_at_v3() {
+    fn dse_section_round_trips() {
         let mut report = sample_report();
         report.dse = Some(sample_dse_section());
         let text = RunReport::render_all(std::slice::from_ref(&report));
-        assert!(text.contains("\"schema_version\": 3"), "{text}");
         assert!(text.contains("\"dse\""));
         assert!(text.contains("\"dominates_baseline\": true"));
         let back = RunReport::parse_all(&text).unwrap();
         assert_eq!(back, vec![report]);
         assert_eq!(RunReport::render_all(&back), text);
-    }
-
-    #[test]
-    fn fault_campaign_alone_still_stamps_version_2() {
-        // v3 is stamped only when the dse section is present, so v2
-        // documents keep their bytes.
-        let mut report = sample_report();
-        report.fault_campaign = Some(CampaignSection::default());
-        let text = report.to_json().render();
-        assert!(text.contains("\"schema_version\": 2"), "{text}");
-        report.dse = Some(sample_dse_section());
-        let both = report.to_json().render();
-        assert!(both.contains("\"schema_version\": 3"), "{both}");
-        let back = RunReport::parse_all(&format!("[{both}]")).unwrap();
-        assert_eq!(back[0], report);
     }
 
     #[test]

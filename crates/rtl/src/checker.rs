@@ -373,7 +373,8 @@ mod tests {
         c.consume((1, 0), Dir::West);
         c.consume((1, 0), Dir::West);
         let mut resident = vec![0u64; 2 * 2 * 4];
-        resident[(0 * 2 + 1) * 4 + Dir::West as usize] = 1;
+        // PE (1, 0) is row-major index 1; four queues per PE.
+        resident[4 + Dir::West as usize] = 1;
         let report = c.finish(&resident, 99);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.tokens_checked, 3);
@@ -395,7 +396,7 @@ mod tests {
         c.consume((1, 0), Dir::North);
         c.consume((1, 0), Dir::North);
         c.consume((2, 0), Dir::North);
-        let report = c.finish(&vec![0u64; 3 * 4], 10);
+        let report = c.finish(&[0u64; 3 * 4], 10);
         let kinds: Vec<&str> = report.violations.iter().map(|v| v.kind.label()).collect();
         assert_eq!(
             kinds,
@@ -413,7 +414,7 @@ mod tests {
         c.receive((0, 0), Dir::East, 1);
         c.consume((0, 0), Dir::East);
         c.consume((0, 0), Dir::East);
-        let report = c.finish(&vec![0u64; 4], 5);
+        let report = c.finish(&[0u64; 4], 5);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::PayloadCorruption);
     }
@@ -424,7 +425,7 @@ mod tests {
         c.offer((0, 0), Dir::South, 4);
         c.receive((0, 0), Dir::South, 4);
         // Never consumed, but reported resident count says empty.
-        let report = c.finish(&vec![0u64; 4], 5);
+        let report = c.finish(&[0u64; 4], 5);
         assert_eq!(report.violations.len(), 1);
         assert!(matches!(
             report.violations[0].kind,
@@ -442,7 +443,7 @@ mod tests {
         assert!(!c.is_fatal());
         c.fatal_take((0, 0), Dir::West, 7, TakeError::Empty);
         assert!(c.is_fatal());
-        let report = c.finish(&vec![0u64; 4], 7);
+        let report = c.finish(&[0u64; 4], 7);
         let fatal = report.first_fatal().expect("fatal recorded");
         assert_eq!(fatal.kind, ViolationKind::PopFromEmpty);
         assert!(fatal.kind.is_fatal());

@@ -59,8 +59,9 @@ pub fn random_bitstream(rng: &mut SplitMix64, w: usize, h: usize) -> Bitstream {
             // possible drivers (ALU true/false ports, two bypass
             // slots) or leave them unused.
             let mut bp_mask = [[false; 4]; 2];
-            for d in 0..4 {
-                match rng.range(8) {
+            let rolls: [usize; 4] = std::array::from_fn(|_| rng.range(8));
+            for (d, roll) in rolls.into_iter().enumerate() {
+                match roll {
                     0 | 1 => cfg.alu_true_mask[d] = true,
                     2 => cfg.alu_false_mask[d] = true,
                     3 => bp_mask[0][d] = true,

@@ -137,12 +137,6 @@ impl Cpu {
         }
     }
 
-    /// Override the timing parameters.
-    pub fn with_timing(mut self, timing: TimingParams) -> Cpu {
-        self.timing = timing;
-        self
-    }
-
     /// Override the runaway budget.
     pub fn with_max_instrs(mut self, max: u64) -> Cpu {
         self.max_instrs = max;

@@ -275,10 +275,8 @@ mod tests {
     fn sparse_grid() -> Vec<Vec<Option<VfMode>>> {
         // ~16 active PEs in the top-left cluster plus a sprint pocket.
         let mut g = grid_all(None);
-        for y in 0..4 {
-            for x in 0..4 {
-                g[y][x] = Some(VfMode::Nominal);
-            }
+        for row in &mut g[..4] {
+            row[..4].fill(Some(VfMode::Nominal));
         }
         g[5][5] = Some(VfMode::Sprint);
         g[5][6] = Some(VfMode::Sprint);

@@ -19,10 +19,10 @@ fi
 
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 if [ "${CORES}" -ge 4 ] && [ -z "${UECGRA_SMOKE_MIN_SPEEDUP:-}" ]; then
-    export UECGRA_SMOKE_MIN_SPEEDUP="${UECGRA_SMOKE_REQUIRED_SPEEDUP:-3.0}"
+    export UECGRA_SMOKE_MIN_SPEEDUP=3.0
 fi
 
 echo "ci-smoke: ${CORES} hardware threads," \
      "speedup gate: ${UECGRA_SMOKE_MIN_SPEEDUP:-disabled}"
 
-cargo run --release -q -p uecgra-bench --bin smoke_timing -- quick
+cargo run --release -q -p uecgra-bench --bin smoke_timing
