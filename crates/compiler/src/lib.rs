@@ -7,9 +7,8 @@
 //! ([`opt`]), mapped onto the PE array ([`mapping`]: placement plus
 //! PathFinder-style net routing with per-sink Dijkstra through PE
 //! bypass paths), power-mapped with the three-phase
-//! rest/nominal/sprint pass or the slack-directed alternative
-//! ([`mod@power_map`]), and serialized to packed per-PE configuration
-//! words ([`bitstream`]).
+//! rest/nominal/sprint pass ([`mod@power_map`]), and serialized to
+//! packed per-PE configuration words ([`bitstream`]).
 
 #![warn(missing_docs)]
 
@@ -29,4 +28,4 @@ pub use ir::{Carried, Expr, IrError, LoopNest, Stmt};
 pub use mapping::{ArrayShape, MapError, MappedKernel};
 pub use opt::{optimize, Optimized};
 pub use parse::{parse, ParseError, Program};
-pub use power_map::{power_map, power_map_routed, power_map_slack, Objective, PowerMapping};
+pub use power_map::{power_map, power_map_routed, Objective, PowerMapping};

@@ -11,14 +11,13 @@
 //!    power-hungry groups first — keeping each change only when
 //!    `MeasureEnergyDelay` does not regress the best energy-delay
 //!    product seen so far.
-//! 3. **Constraint** — logical nodes folded onto one physical PE must
-//!    share a mode; a small energy-delay search picks the winner.
-//!    Additionally, unused PEs that carry bypass routes are woken at
+//! 3. **Constraint** — unused PEs that carry bypass routes are woken at
 //!    the fastest mode of the streams they carry (a power-gated PE
-//!    cannot forward data).
+//!    cannot forward data), see [`pe_clock_grid`]. The paper's phase 3
+//!    also reconciles logical nodes folded onto one physical PE, but
+//!    placement here puts one node on each PE, so folding cannot occur.
 
 use crate::mapping::MappedKernel;
-use std::collections::HashMap;
 use uecgra_clock::VfMode;
 use uecgra_dfg::analysis::Grouping;
 use uecgra_dfg::{Dfg, NodeId};
@@ -182,58 +181,6 @@ pub fn power_map_routed(
     }
 }
 
-/// Phase 3 (`ConstrainPEModes`): reconcile modes of logical nodes that
-/// share a physical PE, picking each PE's mode with a small
-/// energy-delay search. `assignment` maps each fabric node to an
-/// opaque PE key; nodes sharing a key must share a mode.
-pub fn constrain_folded(
-    _dfg: &Dfg,
-    estimator: &EnergyDelayEstimator<'_>,
-    node_modes: &[VfMode],
-    assignment: &HashMap<NodeId, usize>,
-) -> Vec<VfMode> {
-    let mut modes = node_modes.to_vec();
-    // Gather PEs with conflicting node modes. `assignment` is a hash
-    // map, so its iteration order is arbitrary: sort the pairs by
-    // (PE, node) before grouping, making the walk — and therefore the
-    // measurement sequence — independent of hasher state.
-    let mut pairs: Vec<(usize, NodeId)> = assignment.iter().map(|(&n, &pe)| (pe, n)).collect();
-    pairs.sort();
-    let mut by_pe: std::collections::BTreeMap<usize, Vec<NodeId>> =
-        std::collections::BTreeMap::new();
-    for (pe, node) in pairs {
-        by_pe.entry(pe).or_default().push(node);
-    }
-    for (_, nodes) in by_pe {
-        let first = modes[nodes[0].index()];
-        if nodes.iter().all(|n| modes[n.index()] == first) {
-            continue;
-        }
-        // Conflict: search all three shared modes.
-        let mut best_mode = first;
-        let mut best_ed: Option<EnergyDelay> = None;
-        for candidate in VfMode::ALL {
-            let mut trial = modes.clone();
-            for n in &nodes {
-                trial[n.index()] = candidate;
-            }
-            let ed = estimator.measure(&trial);
-            let better = match &best_ed {
-                None => true,
-                Some(b) => ed.edp_gain_over(b) > 1.0,
-            };
-            if better {
-                best_ed = Some(ed);
-                best_mode = candidate;
-            }
-        }
-        for n in &nodes {
-            modes[n.index()] = best_mode;
-        }
-    }
-    modes
-}
-
 /// Per-PE clock selections for a mapped kernel: op PEs take their
 /// node's mode; unused PEs that carry bypass routes wake at the fastest
 /// mode among the streams they forward (phase 3's routing constraint);
@@ -281,141 +228,6 @@ pub fn pe_clock_grid(
         }
     }
     grid
-}
-
-/// A search-free, slack-directed power mapper (the deterministic
-/// alternative the paper hints at under "more sophisticated
-/// variations"). Works directly from the routed cycle structure:
-///
-/// * **Performance objective** — repeatedly sprint every node of the
-///   currently binding cycles until the binding set is fully sprinted
-///   (the fixed point of "accelerate the critical recurrence"), then
-///   rest everything whose slack under the final initiation interval
-///   tolerates the 3× rest slowdown.
-/// * **Energy objective** — no sprinting; rest every node whose cycles
-///   (if any) stay within the critical II when slowed.
-///
-/// `edge_extra_hops` gives routed bypass hops per edge (use `&[]` for
-/// the logical graph). Pseudo-ops stay nominal.
-///
-/// The cycle analysis cannot see buffer-bound throughput (a rested
-/// branch of a fork-join can stall its sibling through the two-entry
-/// queues), so the pass verifies its candidate against the
-/// sprint-only assignment with one simulation each and keeps the
-/// better energy-delay product — still one to two orders of magnitude
-/// fewer measurements than the search-based pass.
-pub fn power_map_slack(
-    dfg: &Dfg,
-    mem: Vec<u32>,
-    marker: NodeId,
-    edge_extra_hops: &[u32],
-    objective: Objective,
-) -> Vec<VfMode> {
-    use uecgra_dfg::analysis::simple_cycles;
-
-    let hop = |e: uecgra_dfg::EdgeId| -> f64 {
-        1.0 + edge_extra_hops.get(e.index()).copied().unwrap_or(0) as f64
-    };
-    let latency = |m: VfMode| -> f64 {
-        match m {
-            VfMode::Rest => 3.0,
-            VfMode::Nominal => 1.0,
-            VfMode::Sprint => 2.0 / 3.0,
-        }
-    };
-
-    let cycles = simple_cycles(dfg);
-    // Routed ratio of a cycle under a mode assignment: each hop a→b is
-    // paced by the consumer's clock over its routed length.
-    let ratio = |cycle: &uecgra_dfg::analysis::Cycle, modes: &[VfMode]| -> f64 {
-        let nodes = &cycle.nodes;
-        let mut len = 0.0;
-        for (k, &a) in nodes.iter().enumerate() {
-            let b = nodes[(k + 1) % nodes.len()];
-            let hops = dfg
-                .outputs(a)
-                .filter(|(_, e)| e.dst == b)
-                .map(|(id, _)| hop(id))
-                .fold(f64::INFINITY, f64::min);
-            let hops = if hops.is_finite() { hops } else { 1.0 };
-            len += hops * latency(modes[b.index()]);
-        }
-        len / cycle.tokens(dfg).max(1) as f64
-    };
-
-    let mut modes = vec![VfMode::Nominal; dfg.node_count()];
-
-    // Performance: sprint binding cycles to a fixed point.
-    if objective == Objective::Performance && !cycles.is_empty() {
-        for _ in 0..cycles.len() + 1 {
-            let ratios: Vec<f64> = cycles.iter().map(|c| ratio(c, &modes)).collect();
-            let ii = ratios.iter().copied().fold(0.0f64, f64::max);
-            let mut changed = false;
-            for (c, r) in cycles.iter().zip(&ratios) {
-                if *r >= ii - 1e-9 {
-                    for n in &c.nodes {
-                        if modes[n.index()] != VfMode::Sprint {
-                            modes[n.index()] = VfMode::Sprint;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    let ii_final = cycles
-        .iter()
-        .map(|c| ratio(c, &modes))
-        .fold(0.0f64, f64::max);
-
-    // Rest pass: try each non-sprinted node; keep the rest only if no
-    // cycle through it exceeds the final II and the II tolerates a
-    // 3-cycle occupancy.
-    for (id, node) in dfg.nodes() {
-        if node.op.is_pseudo() || modes[id.index()] == VfMode::Sprint {
-            continue;
-        }
-        if ii_final < 3.0 {
-            continue;
-        }
-        modes[id.index()] = VfMode::Rest;
-        let ok = cycles
-            .iter()
-            .filter(|c| c.nodes.contains(&id))
-            .all(|c| ratio(c, &modes) <= ii_final + 1e-9);
-        if !ok {
-            modes[id.index()] = VfMode::Nominal;
-        }
-    }
-
-    // Buffer-boundedness check: compare against the rest-free variant.
-    let no_rest: Vec<VfMode> = modes
-        .iter()
-        .map(|&m| {
-            if m == VfMode::Rest {
-                VfMode::Nominal
-            } else {
-                m
-            }
-        })
-        .collect();
-    if modes == no_rest {
-        return modes;
-    }
-    let estimator = EnergyDelayEstimator::new(dfg, mem, marker)
-        .with_edge_latency(edge_extra_hops.to_vec())
-        .with_iterations(48);
-    let with_rest = estimator.measure(&modes);
-    let without = estimator.measure(&no_rest);
-    if with_rest.edp_gain_over(&without) >= 1.0 {
-        modes
-    } else {
-        no_rest
-    }
 }
 
 #[cfg(test)]
@@ -486,23 +298,6 @@ mod tests {
         assert_eq!(a.node_modes, b.node_modes);
     }
 
-    #[test]
-    fn constrain_folded_unifies_conflicts() {
-        let toy = synthetic::fig2_toy();
-        let estimator = EnergyDelayEstimator::new(&toy.dfg, vec![0; 2048], toy.iter_marker);
-        let mut modes = vec![VfMode::Nominal; toy.dfg.node_count()];
-        modes[toy.cycle[0].index()] = VfMode::Sprint;
-        // Fold a sprint node and a nominal node onto one PE.
-        let assignment: HashMap<NodeId, usize> =
-            [(toy.cycle[0], 0), (toy.cycle[1], 0)].into_iter().collect();
-        let constrained = constrain_folded(&toy.dfg, &estimator, &modes, &assignment);
-        assert_eq!(
-            constrained[toy.cycle[0].index()],
-            constrained[toy.cycle[1].index()],
-            "folded nodes share one mode"
-        );
-    }
-
     /// The assignment as an `R`/`N`/`S` letter string, one per node.
     fn mode_string(modes: &[VfMode]) -> String {
         modes
@@ -518,42 +313,30 @@ mod tests {
     #[test]
     fn table2_assignments_are_pinned() {
         // Golden per-node mode strings for every Table II kernel under
-        // the routed greedy pass (both objectives) and the slack pass,
-        // seed 7. These pin the exact search trajectory: any
-        // map-iteration-order dependence, tie-break change, or model
-        // drift shows up as a changed letter, not as a silent
-        // different-but-plausible assignment. Regenerate by printing
+        // the routed greedy pass (both objectives), seed 7. These pin
+        // the exact search trajectory: any map-iteration-order
+        // dependence, tie-break change, or model drift shows up as a
+        // changed letter, not as a silent different-but-plausible
+        // assignment. Regenerate by printing
         // `mode_string(...)` here if the model intentionally changes.
         use crate::mapping::{ArrayShape, MappedKernel};
         use uecgra_dfg::kernels;
-        let pins: [(&str, &str, &str, &str); 5] = [
-            ("llist", "SSSNSSRN", "NNNRNNRN", "SSSNSSRN"),
-            (
-                "dither",
-                "NNNNRRSSSSSRRRN",
-                "NNRNRRNNNNNRRRN",
-                "NNNNRRSSSSNRRRN",
-            ),
-            (
-                "susan",
-                "SSSSRRRRRRRNNNNNRRRRN",
-                "NNNNRRRRRRRRNNRRRRRRN",
-                "SSSSRRRRRRRRNNNNRRRRN",
-            ),
+        let pins: [(&str, &str, &str); 5] = [
+            ("llist", "SSSNSSRN", "NNNRNNRN"),
+            ("dither", "NNNNRRSSSSSRRRN", "NNRNRRNNNNNRRRN"),
+            ("susan", "SSSSRRRRRRRNNNNNRRRRN", "NNNNRRRRRRRRNNRRRRRRN"),
             (
                 "fft",
                 "SSSSNSNNNNNNSNNNNNNNNNNNNN",
                 "NNNNNNNNRNRRNNRRNRNNNNRRNR",
-                "SSSSNNNNNNNNNNNNNNNNNNNNNN",
             ),
             (
                 "bf",
                 "NRRNRRSRSSNNSSSSSNNSSSSSSSSSSRRN",
                 "RRRRRRNRNNNNNNNNNNNNNNNNNNNNNRRN",
-                "RRRNRRSRSSNNSSSSSNNSSSSSSSSSSRRN",
             ),
         ];
-        for (k, (name, popt, eopt, slack)) in kernels::all_kernels().iter().zip(pins) {
+        for (k, (name, popt, eopt)) in kernels::all_kernels().iter().zip(pins) {
             assert_eq!(k.name, name);
             let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
             let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
@@ -573,14 +356,6 @@ mod tests {
                 &extra,
             );
             assert_eq!(mode_string(&got_eopt.node_modes), eopt, "{name} EOpt");
-            let got_slack = power_map_slack(
-                &k.dfg,
-                k.mem.clone(),
-                k.iter_marker,
-                &extra,
-                Objective::Performance,
-            );
-            assert_eq!(mode_string(&got_slack), slack, "{name} slack");
         }
     }
 

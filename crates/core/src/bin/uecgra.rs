@@ -4,7 +4,8 @@
 //! uecgra run <source.loop> [--policy e|eopt|popt] [--seed N]
 //!            [--mem-words N] [--vcd <out.vcd>] [--dump-mem A..B]
 //!            [--json <report.json>]
-//! uecgra compile <source.loop> [--seed N]      # print the mapping
+//! uecgra compile <source.loop> [--policy e|eopt|popt] [--seed N]
+//!                [--mem-words N]               # print the mapping
 //! uecgra dse <source.loop> [--seed N] [--budget N]
 //!            [--cache <cache.json>] [--json <report.json>]
 //! uecgra check-report <report.json>            # round-trip validate
@@ -12,7 +13,12 @@
 //!
 //! The source language is the compiler's loop mini-language (see
 //! `uecgra_compiler::parse`): array declarations with base addresses
-//! and one counted loop with carried scalars.
+//! and one counted loop with carried scalars. `compile` and `run` go
+//! through [`RunRequest`], the pipeline the reproduction binaries use:
+//! `compile` stops after the validated bitstream, `run` also executes
+//! it. Before `run`, `compile` or `dse` touch the loop, the reference
+//! interpreter checks that it stays inside `--mem-words` words of
+//! memory.
 //!
 //! `--json` writes a `uecgra-probe` [`RunReport`] (including
 //! wall-clock phase timings — the interactive CLI is the one place
@@ -39,18 +45,15 @@
 use std::process::ExitCode;
 use uecgra_core::cli::{parse_args, usage, CliArgs};
 use uecgra_core::error::{error_chain, Error};
-use uecgra_core::pipeline::{CgraRun, Policy};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_core::report::run_report;
 use uecgra_probe::{Phase, ProbeSink as _, RunReport, SchemaError, TimingSink};
-use uecgra_rtl::fabric::{Fabric, FabricConfig};
 
-use uecgra_clock::VfMode;
-use uecgra_compiler::bitstream::{Bitstream, PeRole};
+use uecgra_compiler::bitstream::PeRole;
 use uecgra_compiler::frontend::lower;
-use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
+use uecgra_compiler::interp::{interpret_fresh, InterpError};
 use uecgra_compiler::opt::optimize;
 use uecgra_compiler::parse::parse;
-use uecgra_compiler::power_map::{power_map_routed, Objective};
 
 /// CLI failures: argument/usage problems keep their plain one-line
 /// form; pipeline failures carry the unified [`Error`] so `main` can
@@ -137,6 +140,7 @@ fn dse_command(
     args: &CliArgs,
     dfg: &uecgra_dfg::Dfg,
     marker: uecgra_dfg::NodeId,
+    mem: Vec<u32>,
 ) -> Result<(), CliError> {
     use uecgra_dse::{explore, DseConfig, EvalCache};
 
@@ -149,7 +153,7 @@ fn dse_command(
         None => EvalCache::new(),
     };
     let warm_entries = cache.len();
-    let outcome = explore(dfg, vec![0u32; args.mem_words], marker, &[], &cfg, &cache);
+    let outcome = explore(dfg, mem, marker, &[], &cfg, &cache);
     eprintln!(
         "dse: {} search over {} groups: {} evaluations, {} unique; \
          cache {} -> {} entries, hit rate {:.0}%",
@@ -229,6 +233,9 @@ fn real_main() -> Result<(), CliError> {
     if args.command == "check-report" {
         return Ok(check_report(&args.source)?);
     }
+    if !["run", "compile", "dse"].contains(&args.command.as_str()) {
+        return Err(usage().into());
+    }
 
     let mut sink = TimingSink::new();
     let src = read_file(&args.source)?;
@@ -237,40 +244,38 @@ fn real_main() -> Result<(), CliError> {
 
     // CSE + DCE before mapping.
     let optimized = optimize(&raw.dfg);
-    let marker_node = optimized
+    let dfg = optimized.dfg;
+    let marker = optimized
         .node_map
         .get(raw.induction_phi.index())
         .copied()
         .flatten()
         .ok_or_else(|| "the loop has no side effects; nothing to run".to_string())?;
-    struct Lowered {
-        dfg: uecgra_dfg::Dfg,
-        induction_phi: uecgra_dfg::NodeId,
-    }
-    let lowered = Lowered {
-        dfg: optimized.dfg,
-        induction_phi: marker_node,
-    };
     eprintln!(
         "lowered: {} ops ({} after CSE/DCE), recurrence MII {}",
         raw.dfg.pe_node_count(),
-        lowered.dfg.pe_node_count(),
-        uecgra_dfg::analysis::recurrence_mii(&lowered.dfg)
+        dfg.pe_node_count(),
+        uecgra_dfg::analysis::recurrence_mii(&dfg)
     );
 
-    if args.command == "dse" {
-        return dse_command(&args, &lowered.dfg, lowered.induction_phi);
+    // The power mapper and the DSE run the loop on the analytical
+    // model, which does not pad memory the way the fabric does: check
+    // every access against the image on the reference interpreter
+    // first. Its other errors are not fatal here: a variable that only
+    // one if-arm assigns is undefined to the interpreter, but lowering
+    // gives it a value and the loop runs.
+    let mem = vec![0u32; args.mem_words];
+    if let Err(InterpError::OutOfBounds(addr)) = interpret_fresh(&program.nest, &mem) {
+        return Err(format!(
+            "the loop accesses word {addr}, past the end of memory (--mem-words {})",
+            args.mem_words
+        )
+        .into());
     }
 
-    let mapped = timed(&mut sink, Phase::PlaceRoute, || {
-        MappedKernel::map(&lowered.dfg, ArrayShape::default(), args.seed)
-    })
-    .map_err(Error::from)?;
-    eprintln!(
-        "mapped: {:.0}% utilization, wirelength {}",
-        mapped.utilization() * 100.0,
-        mapped.wirelength()
-    );
+    if args.command == "dse" {
+        return dse_command(&args, &dfg, marker, mem);
+    }
 
     let policy = match args.policy.as_str() {
         "e" => Policy::ECgra,
@@ -278,45 +283,22 @@ fn real_main() -> Result<(), CliError> {
         "popt" => Policy::UePerfOpt,
         other => return Err(format!("unknown policy {other} (use e|eopt|popt)").into()),
     };
-    let mem = vec![0u32; args.mem_words];
-    let extra: Vec<u32> = lowered
-        .dfg
-        .edges()
-        .map(|(id, _)| mapped.extra_hops(id))
-        .collect();
-    let modes = timed(&mut sink, Phase::PowerMap, || match policy {
-        Policy::ECgra => vec![VfMode::Nominal; lowered.dfg.node_count()],
-        Policy::UeEnergyOpt => {
-            power_map_routed(
-                &lowered.dfg,
-                mem.clone(),
-                lowered.induction_phi,
-                Objective::Energy,
-                &extra,
-            )
-            .node_modes
-        }
-        Policy::UePerfOpt => {
-            power_map_routed(
-                &lowered.dfg,
-                mem.clone(),
-                lowered.induction_phi,
-                Objective::Performance,
-                &extra,
-            )
-            .node_modes
-        }
-    });
-
-    let bitstream = timed(&mut sink, Phase::Assemble, || {
-        Bitstream::assemble(&lowered.dfg, &mapped, &modes)
-    })
-    .map_err(Error::from)?;
-    let (compute, route, gated) = bitstream.role_counts();
+    let compiled = RunRequest::for_graph(&dfg, &mem, marker, program.nest.trip_count.into())
+        .policy(policy)
+        .seed(args.seed)
+        .record_events(args.vcd.is_some())
+        .probe(&mut sink)
+        .compile()?;
+    eprintln!(
+        "mapped: {:.0}% utilization, wirelength {}",
+        compiled.mapped.utilization() * 100.0,
+        compiled.mapped.wirelength()
+    );
+    let (compute, route, gated) = compiled.bitstream.role_counts();
     eprintln!("bitstream: {compute} compute, {route} route-only, {gated} gated PEs");
 
     if args.command == "compile" {
-        for (y, row) in bitstream.grid.iter().enumerate() {
+        for (y, row) in compiled.bitstream.grid.iter().enumerate() {
             for (x, cfg) in row.iter().enumerate() {
                 if let PeRole::Compute(op) = cfg.role {
                     println!("PE ({x},{y}): {} @ {}", op.mnemonic(), cfg.clk);
@@ -327,18 +309,9 @@ fn real_main() -> Result<(), CliError> {
         }
         return Ok(());
     }
-    if args.command != "run" {
-        return Err(usage().into());
-    }
 
-    let config = FabricConfig {
-        marker: Some(mapped.coord_of(lowered.induction_phi)),
-        record_events: args.vcd.is_some(),
-        ..FabricConfig::default()
-    };
-    let activity = timed(&mut sink, Phase::Simulate, || {
-        Fabric::new(&bitstream, mem, config).run()
-    });
+    let run = compiled.execute()?;
+    let activity = &run.activity;
     println!(
         "ran {} iterations in {:.0} nominal cycles (II {:.2}), stop: {:?}",
         activity.iterations(),
@@ -347,29 +320,14 @@ fn real_main() -> Result<(), CliError> {
         activity.stop
     );
 
-    let iterations = activity.iterations();
-    let run = CgraRun {
-        policy,
-        mapped,
-        bitstream,
-        modes,
-        activity,
-        iterations,
-    };
-
     if let Some(path) = &args.vcd {
-        let vcd = uecgra_rtl::trace::to_vcd(&run.activity, &run.bitstream).map_err(Error::from)?;
+        let vcd = uecgra_rtl::trace::to_vcd(activity, &run.bitstream).map_err(Error::from)?;
         write_file(path, &vcd)?;
         eprintln!("wrote waveform to {path}");
     }
     if let Some(path) = &args.json {
-        let source_name = args
-            .source
-            .rsplit('/')
-            .next()
-            .unwrap_or(&args.source)
-            .trim_end_matches(".loop");
-        let mut report = run_report(format!("{source_name}/{}", policy.label()), None, &run);
+        let name = format!("{}/{}", source_stem(&args.source), policy.label());
+        let mut report = run_report(name, None, &run);
         report.seed = Some(args.seed);
         report.timings = Some(sink.timings);
         write_file(path, &RunReport::render_all(std::slice::from_ref(&report)))?;
@@ -377,9 +335,9 @@ fn real_main() -> Result<(), CliError> {
     }
     if let Some((a, b)) = args.dump {
         // The range may run past the memory image; dump what exists.
-        let end = b.min(run.activity.mem.len());
+        let end = b.min(activity.mem.len());
         let a = a.min(end);
-        for (i, chunk) in run.activity.mem[a..end].chunks(8).enumerate() {
+        for (i, chunk) in activity.mem[a..end].chunks(8).enumerate() {
             print!("{:>6}:", a + i * 8);
             for w in chunk {
                 print!(" {w:>10}");

@@ -8,7 +8,6 @@
 //! `uecgra` CLI prints the whole chain (`error: ...` followed by
 //! `caused by: ...` lines) instead of a `Debug` dump.
 
-use uecgra_clock::RatioError;
 use uecgra_compiler::bitstream::BitstreamError;
 use uecgra_compiler::ir::IrError;
 use uecgra_compiler::mapping::MapError;
@@ -24,8 +23,6 @@ pub enum Error {
     Lower(IrError),
     /// Placement/routing failed.
     Map(MapError),
-    /// The requested clock divisors are invalid.
-    Clock(RatioError),
     /// The routed mapping could not be assembled into a bitstream.
     Assemble(BitstreamError),
     /// Waveform dumping failed.
@@ -70,7 +67,6 @@ impl std::fmt::Display for Error {
             Error::Parse(_) => write!(f, "parsing failed"),
             Error::Lower(_) => write!(f, "lowering to dataflow failed"),
             Error::Map(_) => write!(f, "mapping failed"),
-            Error::Clock(_) => write!(f, "invalid clock configuration"),
             Error::Assemble(_) => write!(f, "bitstream assembly failed"),
             Error::Trace(_) => write!(f, "waveform dump failed"),
             Error::DidNotTerminate => write!(f, "fabric execution did not terminate"),
@@ -96,7 +92,6 @@ impl std::error::Error for Error {
             Error::Parse(e) => Some(e),
             Error::Lower(e) => Some(e),
             Error::Map(e) => Some(e),
-            Error::Clock(e) => Some(e),
             Error::Assemble(e) => Some(e),
             Error::Trace(e) => Some(e),
             Error::DidNotTerminate => None,
@@ -124,12 +119,6 @@ impl From<IrError> for Error {
 impl From<MapError> for Error {
     fn from(e: MapError) -> Self {
         Error::Map(e)
-    }
-}
-
-impl From<RatioError> for Error {
-    fn from(e: RatioError) -> Self {
-        Error::Clock(e)
     }
 }
 

@@ -20,17 +20,20 @@
 //! assert!(run.ii() > 0.0);
 //! ```
 //!
-//! The builder exposes the knobs the figure harnesses need (queue
-//! depth, iteration cap, event recording, a [`ProbeSink`] for phase
-//! timings). Execution always uses [`Fabric::run`], the event-driven
-//! engine.
+//! The builder exposes the knobs the harnesses need (queue depth,
+//! event recording, fault injection, a [`ProbeSink`] for phase
+//! timings). [`RunRequest::new`] takes a paper [`Kernel`];
+//! [`RunRequest::for_graph`] takes a bare graph, which is how the
+//! `uecgra` CLI runs a lowered loop. [`RunRequest::compile`] stops
+//! after the bitstream; [`RunRequest::run`] also executes it on
+//! [`Fabric::run`], the event-driven engine.
 
 use crate::error::Error;
-use uecgra_clock::{ClockSet, VfMode};
+use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map_routed, Objective};
-use uecgra_dfg::Kernel;
+use uecgra_dfg::{Dfg, Kernel, NodeId};
 use uecgra_probe::{Phase, ProbeSink};
 use uecgra_rtl::fabric::{Fabric, FabricConfig, FabricStop};
 use uecgra_rtl::Activity;
@@ -84,8 +87,8 @@ impl CgraRun {
     /// # Errors
     ///
     /// Returns [`Error::NoSteadyState`] when the run produced too few
-    /// iterations for the skip-8 steady-state window (e.g. a tiny
-    /// kernel, an aggressive iteration cap, or a faulty run that was
+    /// iterations for the skip-8 steady-state window (e.g. a kernel
+    /// built for only a few iterations, or a faulty run that was
     /// stopped early).
     pub fn try_ii(&self) -> Result<f64, Error> {
         self.activity.steady_ii(8).ok_or(Error::NoSteadyState {
@@ -132,34 +135,51 @@ fn timed<T>(sink: &mut Option<&mut dyn ProbeSink>, phase: Phase, f: impl FnOnce(
 
 /// A configured compile-and-execute request.
 ///
-/// Defaults: E-CGRA policy, seed 7, paper-default queue depth 2, run to quiescence, no event
-/// recording, no probe.
+/// Defaults: E-CGRA policy, seed 7, paper-default queue depth 2, run
+/// to quiescence, no event recording, no faults, no probe.
 pub struct RunRequest<'a> {
-    kernel: &'a Kernel,
+    dfg: &'a Dfg,
+    mem: &'a [u32],
+    marker: NodeId,
+    iterations: u64,
     policy: Policy,
     seed: u64,
-    iterations: Option<u64>,
     queue_depth: usize,
     record_events: bool,
-    divisors: Option<[u32; 3]>,
     faults: FaultPlan,
-    watchdog: Option<bool>,
     sink: Option<&'a mut dyn ProbeSink>,
 }
 
 impl<'a> RunRequest<'a> {
     /// Start a request for `kernel` with default settings.
     pub fn new(kernel: &'a Kernel) -> RunRequest<'a> {
+        RunRequest::for_graph(
+            &kernel.dfg,
+            &kernel.mem,
+            kernel.iter_marker,
+            kernel.iters as u64,
+        )
+    }
+
+    /// Start a request for a bare dataflow graph: its initial memory
+    /// image, the node whose firings count iterations, and the trip
+    /// count the no-progress watchdog holds a faulty run to.
+    pub fn for_graph(
+        dfg: &'a Dfg,
+        mem: &'a [u32],
+        marker: NodeId,
+        iterations: u64,
+    ) -> RunRequest<'a> {
         RunRequest {
-            kernel,
+            dfg,
+            mem,
+            marker,
+            iterations,
             policy: Policy::ECgra,
             seed: 7,
-            iterations: None,
             queue_depth: 2,
             record_events: false,
-            divisors: None,
             faults: FaultPlan::none(),
-            watchdog: None,
             sink: None,
         }
     }
@@ -176,13 +196,6 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Stop after the marker PE has fired `n` times instead of running
-    /// to quiescence.
-    pub fn iterations(mut self, n: u64) -> Self {
-        self.iterations = Some(n);
-        self
-    }
-
     /// Input-queue capacity (default: 2, the paper's).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
@@ -195,31 +208,15 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Override the rational clock divisors `[rest, nominal, sprint]`
-    /// (default: the paper's 9:3:2). Validated in [`RunRequest::run`].
-    pub fn divisors(mut self, divisors: [u32; 3]) -> Self {
-        self.divisors = Some(divisors);
-        self
-    }
-
     /// Inject a [`FaultPlan`] into the fabric (default: none). The
     /// always-on protocol checker converts any resulting invariant
-    /// violation into [`Error::Protocol`]; enabling a non-empty plan
-    /// also arms the no-progress watchdog unless
-    /// [`RunRequest::watchdog`] overrides it.
+    /// violation into [`Error::Protocol`]. A non-empty plan also arms
+    /// the no-progress watchdog: a faulty run that quiesces short of
+    /// its iteration target becomes [`Error::Stalled`] with stall
+    /// attribution. Fault-free runs (e.g. the deliberately deadlocking
+    /// traditional-suppressor ablation) keep their natural stop.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Force the no-progress watchdog on or off. By default it is
-    /// armed exactly when the fault plan is non-empty: fault-free
-    /// experiments (e.g. the deliberately deadlocking traditional-
-    /// suppressor ablation) must still report their natural stop,
-    /// while a faulty run that quiesces short of its iteration target
-    /// becomes [`Error::Stalled`] with stall attribution.
-    pub fn watchdog(mut self, on: bool) -> Self {
-        self.watchdog = Some(on);
         self
     }
 
@@ -229,86 +226,106 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Compile and execute.
+    /// The compile step: place and route, power-map for the policy,
+    /// assemble and validate the bitstream.
     ///
     /// # Errors
     ///
-    /// Returns the pipeline [`Error`] of the first failing stage:
-    /// an invalid clock-divisor request, mapping, bitstream assembly
-    /// or validation, a fabric run that hits its tick limit, a fatal
-    /// elastic-protocol violation ([`Error::Protocol`]), or — with the
-    /// watchdog armed — a run that quiesced short of its iteration
-    /// target ([`Error::Stalled`]).
-    pub fn run(self) -> Result<CgraRun, Error> {
-        let RunRequest {
-            kernel,
-            policy,
-            seed,
-            iterations,
-            queue_depth,
-            record_events,
-            divisors,
-            faults,
-            watchdog,
-            mut sink,
-        } = self;
-
-        let clocks = match divisors {
-            Some(d) => ClockSet::new(d)?,
-            None => ClockSet::default(),
-        };
-        let mapped = timed(&mut sink, Phase::PlaceRoute, || {
-            MappedKernel::map(&kernel.dfg, ArrayShape::default(), seed)
+    /// Returns [`Error::Map`] or [`Error::Assemble`] from the first
+    /// failing stage.
+    pub fn compile(mut self) -> Result<Compiled<'a>, Error> {
+        let dfg = self.dfg;
+        let mapped = timed(&mut self.sink, Phase::PlaceRoute, || {
+            MappedKernel::map(dfg, ArrayShape::default(), self.seed)
         })?;
         // Routing-aware power mapping: feed the routed per-edge hop
         // counts into MeasureEnergyDelay so rest/sprint decisions see
         // physical recurrence lengths.
-        let extra: Vec<u32> = kernel
-            .dfg
-            .edges()
-            .map(|(id, _)| mapped.extra_hops(id))
-            .collect();
-
-        let modes = timed(&mut sink, Phase::PowerMap, || match policy {
-            Policy::ECgra => vec![VfMode::Nominal; kernel.dfg.node_count()],
-            Policy::UeEnergyOpt => {
-                power_map_routed(
-                    &kernel.dfg,
-                    kernel.mem.clone(),
-                    kernel.iter_marker,
-                    Objective::Energy,
-                    &extra,
-                )
-                .node_modes
-            }
-            Policy::UePerfOpt => {
-                power_map_routed(
-                    &kernel.dfg,
-                    kernel.mem.clone(),
-                    kernel.iter_marker,
-                    Objective::Performance,
-                    &extra,
-                )
-                .node_modes
+        let extra: Vec<u32> = dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+        let objective = match self.policy {
+            Policy::ECgra => None,
+            Policy::UeEnergyOpt => Some(Objective::Energy),
+            Policy::UePerfOpt => Some(Objective::Performance),
+        };
+        let modes = timed(&mut self.sink, Phase::PowerMap, || match objective {
+            None => vec![VfMode::Nominal; dfg.node_count()],
+            Some(objective) => {
+                power_map_routed(dfg, self.mem.to_vec(), self.marker, objective, &extra).node_modes
             }
         });
-
-        let bitstream = timed(&mut sink, Phase::Assemble, || {
-            Bitstream::assemble(&kernel.dfg, &mapped, &modes)
+        let bitstream = timed(&mut self.sink, Phase::Assemble, || {
+            Bitstream::assemble(dfg, &mapped, &modes)
         })?;
         bitstream.validate()?;
-        let watchdog = watchdog.unwrap_or(!faults.is_empty());
+        Ok(Compiled {
+            mapped,
+            bitstream,
+            modes,
+            request: self,
+        })
+    }
+
+    /// Compile and execute: [`RunRequest::compile`] followed by
+    /// [`Compiled::execute`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the pipeline [`Error`] of the first failing stage.
+    pub fn run(self) -> Result<CgraRun, Error> {
+        self.compile()?.execute()
+    }
+}
+
+/// A request whose compile step has finished, ready to execute.
+pub struct Compiled<'a> {
+    /// The placed-and-routed graph.
+    pub mapped: MappedKernel,
+    /// The assembled, validated configuration.
+    pub bitstream: Bitstream,
+    /// Per-DFG-node DVFS modes.
+    pub modes: Vec<VfMode>,
+    request: RunRequest<'a>,
+}
+
+impl Compiled<'_> {
+    /// The execute step: run the bitstream on the fabric (the
+    /// event-driven [`Fabric::run`]) to completion.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::DidNotTerminate`] for a run that hits its tick
+    /// limit, [`Error::Protocol`] for a fatal elastic-protocol
+    /// violation, or — with the watchdog armed by a non-empty fault
+    /// plan — [`Error::Stalled`] for a run that quiesced short of its
+    /// iteration target.
+    pub fn execute(self) -> Result<CgraRun, Error> {
+        let Compiled {
+            mapped,
+            bitstream,
+            modes,
+            request,
+        } = self;
+        let RunRequest {
+            mem,
+            marker,
+            iterations,
+            policy,
+            queue_depth,
+            record_events,
+            faults,
+            mut sink,
+            ..
+        } = request;
+        let watchdog = !faults.is_empty();
         let config = FabricConfig {
-            clocks,
-            marker: Some(mapped.coord_of(kernel.iter_marker)),
-            max_marker_fires: iterations,
+            marker: Some(mapped.coord_of(marker)),
             queue_capacity: queue_depth,
             record_events,
             faults,
             ..FabricConfig::default()
         };
         let activity = timed(&mut sink, Phase::Simulate, || {
-            Fabric::new(&bitstream, kernel.mem.clone(), config).run()
+            Fabric::new(&bitstream, mem.to_vec(), config).run()
         });
         if activity.stop == FabricStop::ProtocolViolation {
             let v = *activity
@@ -321,12 +338,11 @@ impl<'a> RunRequest<'a> {
             return Err(Error::DidNotTerminate);
         }
         // No-progress watchdog: a quiesced fabric that delivered fewer
-        // marker fires than the kernel's iteration target has live- or
+        // marker fires than the iteration target has live- or
         // deadlocked (under faults this is the expected failure mode of
         // a permanently stuck handshake or stalled domain). Attribute
         // the stall to the PE with the most blocked edges.
-        let expected = iterations.unwrap_or(kernel.iters as u64);
-        if watchdog && activity.iterations() < expected {
+        if watchdog && activity.iterations() < iterations {
             return Err(Error::Stalled {
                 cycle: activity.ticks,
                 pe: worst_stalled_pe(&activity),
@@ -339,7 +355,7 @@ impl<'a> RunRequest<'a> {
             bitstream,
             modes,
             activity,
-            iterations: kernel.iters as u64,
+            iterations,
         })
     }
 }
@@ -424,8 +440,8 @@ mod tests {
 
     #[test]
     fn short_runs_surface_no_steady_state() {
-        let k = kernels::llist::build_with_hops(30);
-        let run = RunRequest::new(&k).iterations(3).run().unwrap();
+        let k = kernels::llist::build_with_hops(3);
+        let run = RunRequest::new(&k).run().unwrap();
         match run.try_ii() {
             Err(Error::NoSteadyState { iterations }) => assert_eq!(iterations, 3),
             other => panic!("expected NoSteadyState, got {other:?}"),
@@ -456,14 +472,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, Error::Stalled { .. }), "{err:?}");
-
-        // Explicitly disarming the watchdog restores the raw run.
-        let run = RunRequest::new(&k)
-            .faults(FaultPlan::single(fault))
-            .watchdog(false)
-            .run()
-            .unwrap();
-        assert_eq!(run.activity.iterations(), 0);
     }
 
     #[test]

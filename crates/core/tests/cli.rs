@@ -187,3 +187,37 @@ fn dump_ranges_never_panic() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn undersized_memory_is_an_error_not_a_panic() {
+    // The loop touches words 16..48 and 128..160, so it needs 160.
+    let src = write_source("uecgra_cli_mem.loop", ACCUMULATE);
+    let src = src.to_str().unwrap();
+    let commands: Vec<Vec<&str>> = ["e", "eopt", "popt"]
+        .iter()
+        .map(|&p| vec!["run", src, "--policy", p])
+        .chain(std::iter::once(vec!["dse", src]))
+        .collect();
+    for words in ["0", "100", "159", "160"] {
+        for command in &commands {
+            let out = Command::new(bin())
+                .args(command)
+                .args(["--mem-words", words])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_ne!(
+                out.status.code(),
+                Some(101),
+                "{command:?} {words}: {stderr}"
+            );
+            if words == "160" {
+                assert!(out.status.success(), "{command:?} {words}: {stderr}");
+            } else {
+                assert!(!out.status.success(), "{command:?} {words}: exit 0");
+                let expect = format!("past the end of memory (--mem-words {words})");
+                assert!(stderr.contains(&expect), "{command:?} {words}: {stderr}");
+            }
+        }
+    }
+}

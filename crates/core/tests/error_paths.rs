@@ -3,7 +3,6 @@
 //! [`Error`] variant (with its stage error chained as the source),
 //! not a panic and not a mislabelled stage.
 
-use uecgra_clock::RatioError;
 use uecgra_compiler::mapping::MapError;
 use uecgra_core::error::{error_chain, Error};
 use uecgra_core::pipeline::RunRequest;
@@ -27,41 +26,6 @@ fn kernel_of(name: &'static str, dfg: Dfg, marker: uecgra_dfg::NodeId) -> Kernel
         ideal_recurrence: 1,
         reference: no_op_reference,
     }
-}
-
-#[test]
-fn unordered_divisors_fail_with_clock_error() {
-    let s = synthetic::chain(4);
-    let k = kernel_of("chain4", s.dfg, s.iter_marker);
-    // [rest, nominal, sprint] must be ordered slowest-first; an
-    // ascending triple is rejected before any compilation happens.
-    let err = RunRequest::new(&k)
-        .divisors([2, 3, 9])
-        .run()
-        .expect_err("ascending divisors must not run");
-    assert!(
-        matches!(err, Error::Clock(RatioError::Unordered([2, 3, 9]))),
-        "wrong variant: {err:?}"
-    );
-    assert!(
-        error_chain(&err).starts_with("error: invalid clock configuration"),
-        "chain mislabels the stage: {}",
-        error_chain(&err)
-    );
-}
-
-#[test]
-fn zero_divisor_fails_with_clock_error() {
-    let s = synthetic::chain(4);
-    let k = kernel_of("chain4", s.dfg, s.iter_marker);
-    let err = RunRequest::new(&k)
-        .divisors([9, 3, 0])
-        .run()
-        .expect_err("a zero divisor must not run");
-    assert!(
-        matches!(err, Error::Clock(RatioError::ZeroDivisor)),
-        "wrong variant: {err:?}"
-    );
 }
 
 #[test]

@@ -79,10 +79,6 @@ pub enum StopReason {
 pub struct SimResult {
     /// Firings per node (indexed by `NodeId::index`).
     pub fires: Vec<u64>,
-    /// Rising edges each node saw while input-starved.
-    pub input_stalls: Vec<u64>,
-    /// Rising edges each node saw while backpressured.
-    pub output_stalls: Vec<u64>,
     /// PLL ticks at which the marker fired.
     pub marker_times: Vec<u64>,
     /// Total PLL ticks simulated.
@@ -173,8 +169,6 @@ enum Action {
         /// Memory write, if any.
         mem_write: Option<(u32, u32)>,
     },
-    StallInput(usize),
-    StallOutput(usize),
     Idle,
 }
 
@@ -206,8 +200,6 @@ impl<'a> DfgSimulator<'a> {
     pub fn run(mut self) -> SimResult {
         let n = self.dfg.node_count();
         let mut fires = vec![0u64; n];
-        let mut input_stalls = vec![0u64; n];
-        let mut output_stalls = vec![0u64; n];
         let mut marker_times = Vec::new();
         let hyper = self.config.clocks.hyperperiod();
         // The quiesce window must outlast the largest possible
@@ -268,8 +260,6 @@ impl<'a> DfgSimulator<'a> {
                             marker_times.push(t);
                         }
                     }
-                    Action::StallInput(node) => input_stalls[node] += 1,
-                    Action::StallOutput(node) => output_stalls[node] += 1,
                     Action::Idle => {}
                 }
             }
@@ -293,8 +283,6 @@ impl<'a> DfgSimulator<'a> {
 
         SimResult {
             fires,
-            input_stalls,
-            output_stalls,
             marker_times,
             ticks: t,
             stop,
@@ -362,7 +350,7 @@ impl<'a> DfgSimulator<'a> {
                 }
             }
             if !self.port_has_space(node, 0) {
-                return Action::StallOutput(node);
+                return Action::Idle;
             }
             // Source values count upward (a useful address stream); the
             // counter is bumped when the fire is applied.
@@ -390,7 +378,7 @@ impl<'a> DfgSimulator<'a> {
                     mem_write: None,
                 }
             } else {
-                Action::StallOutput(node)
+                Action::Idle
             };
         }
 
@@ -407,17 +395,13 @@ impl<'a> DfgSimulator<'a> {
                 .iter()
                 .find(|(e, _)| self.front_visible(*e, node, t).is_some())
             else {
-                return if in_edges.is_empty() {
-                    Action::Idle
-                } else {
-                    Action::StallInput(node)
-                };
+                return Action::Idle;
             };
             let value = self
                 .front_visible(edge, node, t)
                 .expect("edge chosen as visible");
             if !self.port_has_space(node, 0) {
-                return Action::StallOutput(node);
+                return Action::Idle;
             }
             return Action::Fire {
                 node,
@@ -439,7 +423,7 @@ impl<'a> DfgSimulator<'a> {
                         operands[port as usize] = Some(v);
                         pops.push(edge);
                     }
-                    None => return Action::StallInput(node),
+                    None => return Action::Idle,
                 }
             } else {
                 operands[port as usize] = data.constant;
@@ -462,7 +446,7 @@ impl<'a> DfgSimulator<'a> {
             Op::Br => {
                 let out_port = if b != 0 { 0 } else { 1 };
                 if !self.port_has_space(node, out_port) {
-                    return Action::StallOutput(node);
+                    return Action::Idle;
                 }
                 Action::Fire {
                     node,
@@ -473,7 +457,7 @@ impl<'a> DfgSimulator<'a> {
             }
             Op::Load => {
                 if !self.port_has_space(node, 0) {
-                    return Action::StallOutput(node);
+                    return Action::Idle;
                 }
                 let addr = a as usize;
                 assert!(addr < self.mem.len(), "load from {addr} out of bounds");
@@ -486,7 +470,7 @@ impl<'a> DfgSimulator<'a> {
             }
             Op::Store => {
                 if !self.port_has_space(node, 0) {
-                    return Action::StallOutput(node);
+                    return Action::Idle;
                 }
                 Action::Fire {
                     node,
@@ -497,7 +481,7 @@ impl<'a> DfgSimulator<'a> {
             }
             _ => {
                 if !self.port_has_space(node, 0) {
-                    return Action::StallOutput(node);
+                    return Action::Idle;
                 }
                 Action::Fire {
                     node,
@@ -749,19 +733,5 @@ mod tests {
         assert!(ii < 4.0, "sprinted llist II {ii} should beat 5.0 by ~1.5x");
         // Functionality is preserved under DVFS.
         assert_eq!(r.mem, k.reference_memory());
-    }
-
-    #[test]
-    fn stall_counters_populate() {
-        let s = synthetic::cycle_n(4);
-        let config = SimConfig {
-            marker: Some(s.iter_marker),
-            max_marker_fires: Some(20),
-            ..SimConfig::default()
-        };
-        let r = run_synthetic(&s, config);
-        // Ring nodes idle 3 of every 4 cycles waiting on input.
-        let total_input_stalls: u64 = r.input_stalls.iter().sum();
-        assert!(total_input_stalls > 0);
     }
 }

@@ -291,50 +291,3 @@ fn one_net_feeding_both_operand_ports_consumes_one_token() {
     assert_eq!(act.stop, FabricStop::Quiesced);
     assert_eq!(act.mem[0], 7, "the trigger-gated constant was stored");
 }
-
-#[test]
-fn slack_mapper_matches_search_mapper_speedups() {
-    // The deterministic slack-directed mapper should land in the same
-    // POpt speedup band as the paper's search-based pass, at a tiny
-    // fraction of the compile cost.
-    use uecgra_compiler::power_map::power_map_slack;
-    for k in small_kernels() {
-        let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
-        let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
-        let nominal = vec![VfMode::Nominal; k.dfg.node_count()];
-        let slack = power_map_slack(
-            &k.dfg,
-            k.mem.clone(),
-            k.iter_marker,
-            &extra,
-            Objective::Performance,
-        );
-
-        let run = |modes: &[VfMode]| {
-            let bs = Bitstream::assemble(&k.dfg, &mapped, modes).unwrap();
-            let config = FabricConfig {
-                marker: Some(mapped.coord_of(k.iter_marker)),
-                ..FabricConfig::default()
-            };
-            Fabric::new(&bs, k.mem.clone(), config).run()
-        };
-        let base = run(&nominal);
-        let fast = run(&slack);
-        let expect = k.reference_memory();
-        assert_eq!(&fast.mem[..expect.len()], &expect[..], "{}", k.name);
-        let speedup = base.steady_ii(8).unwrap() / fast.steady_ii(8).unwrap();
-        if k.name == "fft" {
-            // fft's fabric throughput is buffer-bound (fork-join latency
-            // imbalance), which a cycle-slack analysis cannot see; the
-            // mapper's self-verification keeps it from regressing, but
-            // only the measurement-driven search pass speeds it up.
-            assert!(speedup > 0.95, "{}: {speedup:.2}", k.name);
-        } else {
-            assert!(
-                speedup > 1.1,
-                "{}: slack-mapped speedup {speedup:.2}",
-                k.name
-            );
-        }
-    }
-}
