@@ -54,8 +54,9 @@ fn lowering_matches_interpreter() {
     });
 }
 
-/// The same differential under random DVFS assignments: mode
-/// choices must never change results.
+/// The same differential under random DVFS assignments and routed
+/// extra latencies: neither may change results. The model's stepper
+/// must also match its tick-by-tick oracle on the lowered graph.
 #[test]
 fn lowering_matches_interpreter_under_dvfs() {
     forall(48, |rng| {
@@ -74,9 +75,18 @@ fn lowering_matches_interpreter_under_dvfs() {
             .collect();
         let config = SimConfig {
             marker: Some(lowered.induction_phi),
+            edge_extra_latency: (0..lowered.dfg.edge_count())
+                .map(|_| rng.range(3) as u32)
+                .collect(),
             ..SimConfig::default()
         };
-        let r = DfgSimulator::new(&lowered.dfg, modes, mem, config).run();
+        let sim = || DfgSimulator::new(&lowered.dfg, modes.clone(), mem.clone(), config.clone());
+        let r = sim().run();
+        assert_eq!(
+            r,
+            sim().run_reference(),
+            "run() and run_reference() disagree"
+        );
         assert_eq!(r.stop, StopReason::Quiesced);
         assert_eq!(r.mem, expected);
     });

@@ -45,7 +45,7 @@
 use std::process::ExitCode;
 use uecgra_core::cli::{parse_args, usage, CliArgs};
 use uecgra_core::error::{error_chain, Error};
-use uecgra_core::pipeline::{Policy, RunRequest};
+use uecgra_core::pipeline::{require_steady_state, Policy, RunRequest};
 use uecgra_core::report::run_report;
 use uecgra_probe::{Phase, ProbeSink as _, RunReport, SchemaError, TimingSink};
 
@@ -274,6 +274,7 @@ fn real_main() -> Result<(), CliError> {
     }
 
     if args.command == "dse" {
+        require_steady_state(program.nest.trip_count.into())?;
         return dse_command(&args, &dfg, marker, mem);
     }
 

@@ -33,10 +33,11 @@ pub enum Error {
     /// violation (pop from empty, double take, credit-less push, or an
     /// out-of-bounds memory access) and stopped the run.
     Protocol(ProtocolViolation),
-    /// The run completed but produced too few iterations to measure a
-    /// steady-state initiation interval.
+    /// The run completed, or the loop would run, too few iterations to
+    /// measure a steady-state initiation interval.
     NoSteadyState {
-        /// Iterations the marker actually completed.
+        /// Iterations the marker completed (the loop's trip count when
+        /// the check precedes power mapping).
         iterations: u64,
     },
     /// The fabric made no forward progress (livelock/deadlock — e.g.
@@ -73,7 +74,7 @@ impl std::fmt::Display for Error {
             Error::Protocol(_) => write!(f, "elastic-protocol invariant violated"),
             Error::NoSteadyState { iterations } => write!(
                 f,
-                "run completed only {iterations} iterations — too few for a steady-state window"
+                "{iterations} iterations are too few for a steady-state window"
             ),
             Error::Stalled { cycle, pe } => write!(
                 f,

@@ -231,10 +231,20 @@ impl<'a> RunRequest<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Map`] or [`Error::Assemble`] from the first
+    /// Returns [`Error::NoSteadyState`] when the policy power-maps a
+    /// loop of fewer than two iterations (see [`require_steady_state`]),
+    /// otherwise [`Error::Map`] or [`Error::Assemble`] from the first
     /// failing stage.
     pub fn compile(mut self) -> Result<Compiled<'a>, Error> {
         let dfg = self.dfg;
+        let objective = match self.policy {
+            Policy::ECgra => None,
+            Policy::UeEnergyOpt => Some(Objective::Energy),
+            Policy::UePerfOpt => Some(Objective::Performance),
+        };
+        if objective.is_some() {
+            require_steady_state(self.iterations)?;
+        }
         let mapped = timed(&mut self.sink, Phase::PlaceRoute, || {
             MappedKernel::map(dfg, ArrayShape::default(), self.seed)
         })?;
@@ -242,11 +252,6 @@ impl<'a> RunRequest<'a> {
         // counts into MeasureEnergyDelay so rest/sprint decisions see
         // physical recurrence lengths.
         let extra: Vec<u32> = dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
-        let objective = match self.policy {
-            Policy::ECgra => None,
-            Policy::UeEnergyOpt => Some(Objective::Energy),
-            Policy::UePerfOpt => Some(Objective::Performance),
-        };
         let modes = timed(&mut self.sink, Phase::PowerMap, || match objective {
             None => vec![VfMode::Nominal; dfg.node_count()],
             Some(objective) => {
@@ -274,6 +279,20 @@ impl<'a> RunRequest<'a> {
     pub fn run(self) -> Result<CgraRun, Error> {
         self.compile()?.execute()
     }
+}
+
+/// The power mapper and the DSE judge a mode assignment by its
+/// steady-state II on the analytical model, which needs at least two
+/// iterations of the loop.
+///
+/// # Errors
+///
+/// Returns [`Error::NoSteadyState`] for a trip count below two.
+pub fn require_steady_state(iterations: u64) -> Result<(), Error> {
+    if iterations < 2 {
+        return Err(Error::NoSteadyState { iterations });
+    }
+    Ok(())
 }
 
 /// A request whose compile step has finished, ready to execute.

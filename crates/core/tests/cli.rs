@@ -221,3 +221,46 @@ fn undersized_memory_is_an_error_not_a_panic() {
         }
     }
 }
+
+#[test]
+fn loops_too_short_to_power_map_are_an_error_not_a_panic() {
+    // The power mapper and the DSE measure a steady-state II, which
+    // needs two iterations; the E-CGRA policy does not power-map.
+    let run = |trip: u32, command: &[&str]| {
+        let body = ACCUMULATE.replace("0..32", &format!("0..{trip}"));
+        let src = write_source(&format!("uecgra_cli_trip{trip}.loop"), &body);
+        let out = Command::new(bin())
+            .arg(command[0])
+            .arg(&src)
+            .args(&command[1..])
+            .output()
+            .expect("binary runs");
+        (
+            out.status,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let power_mapping: [&[&str]; 5] = [
+        &["run", "--policy", "eopt"],
+        &["run", "--policy", "popt"],
+        &["compile", "--policy", "eopt"],
+        &["compile", "--policy", "popt"],
+        &["dse"],
+    ];
+    for trip in [0, 1] {
+        for command in power_mapping {
+            let (status, stderr) = run(trip, command);
+            assert_eq!(status.code(), Some(1), "{trip} {command:?}: {stderr}");
+            assert!(
+                stderr.contains("too few for a steady-state window"),
+                "{trip} {command:?}: {stderr}"
+            );
+        }
+        let (status, stderr) = run(trip, &["run", "--policy", "e"]);
+        assert!(status.success(), "{trip} e: {stderr}");
+    }
+    for command in power_mapping {
+        let (status, stderr) = run(2, command);
+        assert!(status.success(), "2 {command:?}: {stderr}");
+    }
+}

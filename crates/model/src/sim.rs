@@ -11,6 +11,35 @@
 //! The simulator is functional: tokens carry 32-bit values, and
 //! `load`/`store` nodes access a scratchpad memory image, so kernel
 //! results can be checked against host references.
+//!
+//! # One stepper, one oracle
+//!
+//! [`DfgSimulator::run`] is the stepper every caller uses (the
+//! estimator, the power mapper, the DSE and the figure binaries):
+//!
+//! * **Port tables**, built once per run: each node's driving edge per
+//!   input port (a Phi's in-edges in input order), its out-edges per
+//!   source port, and each edge's capacity and visibility budget. The
+//!   nodes are also listed per set of rising modes, so a tick only
+//!   walks the nodes whose clock rises.
+//! * **No allocation per decision**: a tick decides into one reused
+//!   buffer of fixed-size fire records and applies them in ascending
+//!   node order.
+//! * **Sleeping nodes**: a node that idles records the earliest tick it
+//!   could fire with no queue changing (when its waiting front token
+//!   turns visible, or never); a push into or a pop from one of its
+//!   queues wakes it. Until then its decision could only be "idle",
+//!   so it is skipped.
+//! * **Tick jump**: after a tick, `t` jumps to the next rising edge of
+//!   any mode a node uses, capped by the quiesce deadline and the tick
+//!   limit. No node has a rising edge on the skipped ticks, so no state
+//!   changes there and the result is exact.
+//!
+//! [`DfgSimulator::run_reference`] is the original tick-by-tick
+//! stepper, kept as the test oracle: `run` must return an equal
+//! [`SimResult`] (or panic with the same message) on every input. Only
+//! tests call it (`tests/differential.rs` here, and the compiler's
+//! random-loop differential).
 
 use std::collections::VecDeque;
 use uecgra_clock::{ClockSet, VfMode};
@@ -157,7 +186,120 @@ pub struct DfgSimulator<'a> {
     source_count: Vec<u64>,
 }
 
-/// What a node decided to do on one of its rising edges.
+/// A fire decided by [`DfgSimulator::run`]: a fixed-size record, so
+/// deciding never allocates.
+#[derive(Debug, Clone, Copy)]
+struct Fire {
+    node: usize,
+    /// Input edges to pop (a validated node has at most two inputs).
+    pops: [Option<u32>; 2],
+    /// Output port whose edges all receive `value` (`None` for a sink).
+    out_port: Option<u8>,
+    value: u32,
+    /// Memory write, if any.
+    mem_write: Option<(u32, u32)>,
+}
+
+/// Per-run lookup tables for [`DfgSimulator::run`], built once so the
+/// per-tick work never walks the graph's adjacency lists.
+#[derive(Debug)]
+struct PortTables {
+    /// Per node: a Phi's in-edges in input order; for every other op,
+    /// the edge driving each input port. Validation caps both at two.
+    ins: Vec<[Option<u32>; 2]>,
+    /// Out-edges grouped by `(node, source port)`; the group of
+    /// `node * 2 + port` is `outs[out_start[i]..out_start[i + 1]]`.
+    outs: Vec<u32>,
+    out_start: Vec<usize>,
+    /// Per edge: queue capacity (`queue_capacity × (1 + extra)`).
+    capacity: Vec<usize>,
+    /// Per edge: ticks a token ages before its consumer sees it
+    /// (`period(consumer mode) × (hop_latency + extra)`).
+    budget: Vec<u64>,
+    /// Per edge: producer and consumer node.
+    src: Vec<u32>,
+    dst: Vec<u32>,
+}
+
+impl PortTables {
+    fn build(dfg: &Dfg, modes: &[VfMode], config: &SimConfig) -> PortTables {
+        let n = dfg.node_count();
+        let mut ins = vec![[None; 2]; n];
+        for (id, node) in dfg.nodes() {
+            let slot = &mut ins[id.index()];
+            for (i, (e, edge)) in dfg.inputs(id).enumerate() {
+                let k = if node.op == Op::Phi {
+                    i
+                } else {
+                    usize::from(edge.dst_port)
+                };
+                if slot[k].is_none() {
+                    slot[k] = Some(e.index() as u32);
+                }
+            }
+        }
+        let mut outs = Vec::with_capacity(dfg.edge_count());
+        let mut out_start = Vec::with_capacity(2 * n + 1);
+        for id in dfg.node_ids() {
+            for port in 0..2 {
+                out_start.push(outs.len());
+                outs.extend(
+                    dfg.outputs(id)
+                        .filter(|(_, e)| e.src_port == port)
+                        .map(|(e, _)| e.index() as u32),
+                );
+            }
+        }
+        out_start.push(outs.len());
+        let extra = |e: usize| config.edge_extra_latency.get(e).copied().unwrap_or(0);
+        let capacity = (0..dfg.edge_count())
+            .map(|e| config.queue_capacity * (1 + extra(e) as usize))
+            .collect();
+        let budget = dfg
+            .edges()
+            .map(|(e, edge)| {
+                config.clocks.period(modes[edge.dst.index()])
+                    * u64::from(config.hop_latency + extra(e.index()))
+            })
+            .collect();
+        PortTables {
+            ins,
+            outs,
+            out_start,
+            capacity,
+            budget,
+            src: dfg.edges().map(|(_, e)| e.src.index() as u32).collect(),
+            dst: dfg.edges().map(|(_, e)| e.dst.index() as u32).collect(),
+        }
+    }
+
+    fn outs(&self, node: usize, port: u8) -> &[u32] {
+        let i = node * 2 + usize::from(port);
+        &self.outs[self.out_start[i]..self.out_start[i + 1]]
+    }
+
+    /// Can a token be pushed on every edge leaving `node` via `port`?
+    fn has_space(&self, queues: &[VecDeque<Token>], node: usize, port: u8) -> bool {
+        self.outs(node, port)
+            .iter()
+            .all(|&e| queues[e as usize].len() < self.capacity[e as usize])
+    }
+
+    /// The value at the front of `edge` if its consumer can see it at
+    /// tick `t`; otherwise the tick it turns visible (`u64::MAX` if the
+    /// queue is empty).
+    fn front_visible(&self, queues: &[VecDeque<Token>], edge: u32, t: u64) -> Result<u32, u64> {
+        let e = edge as usize;
+        match queues[e].front() {
+            None => Err(u64::MAX),
+            Some(tok) if t >= tok.written + self.budget[e] => Ok(tok.value),
+            Some(tok) => Err(tok.written + self.budget[e]),
+        }
+    }
+}
+
+/// What a node decided to do on one of its rising edges
+/// ([`DfgSimulator::run_reference`]).
 #[derive(Debug, Clone)]
 enum Action {
     Fire {
@@ -197,7 +339,254 @@ impl<'a> DfgSimulator<'a> {
     }
 
     /// Run to completion and return the results.
+    ///
+    /// Visits only the ticks on which a used clock rises (plus the
+    /// quiesce deadline and the tick limit), decides only the nodes
+    /// that are awake, and allocates nothing per decision; see the
+    /// module docs. Returns the same [`SimResult`] as
+    /// [`DfgSimulator::run_reference`].
     pub fn run(mut self) -> SimResult {
+        let n = self.dfg.node_count();
+        let ports = PortTables::build(self.dfg, &self.modes, &self.config);
+        let mut fires = vec![0u64; n];
+        let mut marker_times = Vec::new();
+        let quiesce_window = self.quiesce_window();
+        let mut last_fire_tick = 0u64;
+
+        // Next rising edge of each mode some node uses (`u64::MAX` for
+        // unused modes). Every clock rises at t = 0.
+        let periods = VfMode::ALL.map(|m| self.config.clocks.period(m));
+        let mut next_edge = [u64::MAX; 3];
+        for &mode in &self.modes {
+            next_edge[mode as usize] = 0;
+        }
+        // For each set of rising modes (a bit per mode), the nodes
+        // clocked by one of them, in ascending order.
+        let by_rising: [Vec<u32>; 8] = std::array::from_fn(|set| {
+            (0..n as u32)
+                .filter(|&node| set & (1 << self.modes[node as usize] as usize) != 0)
+                .collect()
+        });
+        let mut decided: Vec<Fire> = Vec::with_capacity(n);
+        // A node is decided only at rising edges at or after its wake
+        // tick: an idle node sleeps until a token it waits for turns
+        // visible, or (`u64::MAX`) until a push into or a pop from one
+        // of its queues re-arms it (wake 0).
+        let mut wake = vec![0u64; n];
+
+        let mut t = 0u64;
+        let stop = loop {
+            if t >= self.config.max_ticks {
+                break StopReason::TickLimit;
+            }
+            let mut rising = 0;
+            for m in 0..3 {
+                if next_edge[m] == t {
+                    rising |= 1 << m;
+                    next_edge[m] += periods[m];
+                }
+            }
+
+            // Phase 1: decide, against the state at tick start.
+            for &node in &by_rising[rising] {
+                let node = node as usize;
+                if t < wake[node] {
+                    continue;
+                }
+                match self.decide_fast(&ports, node, t) {
+                    Ok(fire) => decided.push(fire),
+                    Err(at) => wake[node] = at,
+                }
+            }
+
+            // Phase 2: apply, in ascending node order.
+            if !decided.is_empty() {
+                last_fire_tick = t;
+            }
+            for fire in decided.drain(..) {
+                let node = fire.node;
+                fires[node] += 1;
+                if self.dfg.node(NodeId::from_index(node)).op == Op::Source {
+                    self.source_count[node] += 1;
+                }
+                self.init_pending[node] = false;
+                for e in fire.pops.into_iter().flatten() {
+                    self.queues[e as usize].pop_front();
+                    wake[ports.src[e as usize] as usize] = 0;
+                }
+                if let Some(port) = fire.out_port {
+                    for &e in ports.outs(node, port) {
+                        self.queues[e as usize].push_back(Token {
+                            value: fire.value,
+                            written: t,
+                        });
+                        wake[ports.dst[e as usize] as usize] = 0;
+                    }
+                }
+                if let Some((addr, value)) = fire.mem_write {
+                    let a = addr as usize;
+                    assert!(a < self.mem.len(), "store to {a} out of bounds");
+                    self.mem[a] = value;
+                }
+                if self.config.marker == Some(NodeId::from_index(node)) {
+                    marker_times.push(t);
+                }
+            }
+
+            if let (Some(max), Some(marker)) = (self.config.max_marker_fires, self.config.marker) {
+                if fires[marker.index()] >= max {
+                    t += 1;
+                    break StopReason::MarkerDone;
+                }
+            }
+            let deadline = last_fire_tick + quiesce_window;
+            if t >= deadline {
+                break StopReason::Quiesced;
+            }
+            // No clock a node uses rises strictly between `t` and the
+            // next edge, so nothing can fire there and no stop test can
+            // change its answer before the deadline: jump.
+            t = next_edge
+                .into_iter()
+                .min()
+                .expect("three modes")
+                .min(deadline)
+                .min(self.config.max_ticks);
+        };
+
+        SimResult {
+            fires,
+            marker_times,
+            ticks: t,
+            stop,
+            mem: self.mem,
+            clocks: self.config.clocks.clone(),
+        }
+    }
+
+    /// The quiesce window must outlast the largest possible visibility
+    /// delay (a slow consumer on a long routed edge), otherwise an
+    /// aging token reads as a dead machine.
+    fn quiesce_window(&self) -> u64 {
+        let max_extra = self
+            .config
+            .edge_extra_latency
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0);
+        self.config.clocks.hyperperiod()
+            * (2 + u64::from(self.config.hop_latency) + u64::from(max_extra))
+    }
+
+    /// [`DfgSimulator::decide`] on the port tables, without allocating:
+    /// what `node` does on its rising edge at tick `t`. An idle node
+    /// returns the earliest tick at which it could fire with no queue
+    /// changing (`u64::MAX` if only a push or pop can unblock it).
+    fn decide_fast(&self, ports: &PortTables, node: usize, t: u64) -> Result<Fire, u64> {
+        let data = self.dfg.node(NodeId::from_index(node));
+        let op = data.op;
+        let has_space = |port: u8| {
+            if ports.has_space(&self.queues, node, port) {
+                Ok(())
+            } else {
+                Err(u64::MAX)
+            }
+        };
+        let push = |port: u8, value: u32| Fire {
+            node,
+            pops: [None; 2],
+            out_port: Some(port),
+            value,
+            mem_write: None,
+        };
+
+        // Source: emit the next value in sequence while under the limit.
+        if op == Op::Source {
+            if let Some(limit) = self.config.source_limit {
+                if self.source_count[node] >= limit {
+                    return Err(u64::MAX);
+                }
+            }
+            return has_space(0).map(|()| push(0, self.source_count[node] as u32));
+        }
+
+        // Phi bootstrap: emit the initial token once after reset.
+        if self.init_pending[node] {
+            return has_space(0).map(|()| push(0, data.init.expect("init_pending implies init")));
+        }
+
+        if op == Op::Phi {
+            // Merge: fire on the first visible input (in input order).
+            let mut visible_at = u64::MAX;
+            let mut chosen = None;
+            for e in ports.ins[node].into_iter().flatten() {
+                match ports.front_visible(&self.queues, e, t) {
+                    Ok(value) => {
+                        chosen = Some((e, value));
+                        break;
+                    }
+                    Err(at) => visible_at = visible_at.min(at),
+                }
+            }
+            let (edge, value) = chosen.ok_or(visible_at)?;
+            has_space(0)?;
+            return Ok(Fire {
+                pops: [Some(edge), None],
+                ..push(0, value)
+            });
+        }
+
+        // All-input ops: each driven port must have a visible token;
+        // undriven ports fall back to the configured constant.
+        let arity = op.arity().max(1);
+        let mut operands = [None::<u32>; 2];
+        let mut pops = [None; 2];
+        for port in 0..arity {
+            if let Some(edge) = ports.ins[node][port] {
+                operands[port] = Some(ports.front_visible(&self.queues, edge, t)?);
+                pops[port] = Some(edge);
+            } else {
+                operands[port] = data.constant;
+            }
+        }
+        let a = operands[0].expect("validated graphs have all operands");
+        let b = if arity > 1 {
+            operands[1].expect("validated graphs have all operands")
+        } else {
+            0
+        };
+
+        let out_port = match op {
+            Op::Sink => None,
+            Op::Br => Some(if b != 0 { 0 } else { 1 }),
+            _ => Some(0),
+        };
+        if let Some(port) = out_port {
+            has_space(port)?;
+        }
+        let (value, mem_write) = match op {
+            Op::Load => {
+                let addr = a as usize;
+                assert!(addr < self.mem.len(), "load from {addr} out of bounds");
+                (self.mem[addr], None)
+            }
+            Op::Store => (b, Some((a, b))),
+            _ => (op.eval(a, b), None),
+        };
+        Ok(Fire {
+            node,
+            pops,
+            out_port,
+            value,
+            mem_write,
+        })
+    }
+
+    /// Run to completion with the original tick-by-tick stepper: every
+    /// node is examined on every PLL tick. This is the test oracle that
+    /// [`DfgSimulator::run`] must match exactly.
+    pub fn run_reference(mut self) -> SimResult {
         let n = self.dfg.node_count();
         let mut fires = vec![0u64; n];
         let mut marker_times = Vec::new();
