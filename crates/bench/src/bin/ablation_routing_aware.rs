@@ -49,7 +49,7 @@ fn main() {
             Objective::Performance,
             &[],
         );
-        let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+        let extra = mapped.edge_extra_hops();
         let routed = power_map_routed(
             &k.dfg,
             k.mem.clone(),

@@ -8,7 +8,8 @@
 //! Each kernel is mapped first (seed [`SEED`]) so the explorer sees
 //! the *routed* per-edge bypass hops, exactly like the pipeline's
 //! power-mapping pass — the greedy baseline inside `explore` is then
-//! the same `power_map_routed` result the policy runs use.
+//! the same `power_map_routed` result the policy runs use. That one
+//! mapping also carries the RTL cross-check below.
 //!
 //! Flags:
 //!
@@ -86,7 +87,7 @@ fn main() {
     for k in evaluation_kernels() {
         let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), SEED)
             .unwrap_or_else(|e| panic!("{}: mapping failed: {e}", k.name));
-        let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+        let extra = mapped.edge_extra_hops();
         let out = explore(&k.dfg, k.mem.clone(), k.iter_marker, &extra, &cfg, &cache);
         assert!(
             out.dominates_baseline(),
@@ -95,7 +96,7 @@ fn main() {
             out.best.edp(),
             out.baseline.edp()
         );
-        rtl_crosscheck(&k, &out.best.modes, SEED)
+        rtl_crosscheck(&k, &mapped, &out.best.modes)
             .unwrap_or_else(|e| panic!("{}: RTL cross-check failed: {e}", k.name));
         println!(
             "{:<8} {:>10} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>7.3}",

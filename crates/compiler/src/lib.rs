@@ -28,4 +28,4 @@ pub use ir::{Carried, Expr, IrError, LoopNest, Stmt};
 pub use mapping::{ArrayShape, MapError, MappedKernel};
 pub use opt::{optimize, Optimized};
 pub use parse::{parse, ParseError, Program};
-pub use power_map::{power_map, power_map_routed, Objective, PowerMapping};
+pub use power_map::{power_map, power_map_routed, power_map_with, Objective, PowerMapping};

@@ -172,6 +172,14 @@ impl MappedKernel {
         (path.len().saturating_sub(2)) as u32
     }
 
+    /// [`extra_hops`](Self::extra_hops) of every edge, indexed by edge
+    /// id: what the routing-aware power mapper and the DSE take.
+    pub fn edge_extra_hops(&self) -> Vec<u32> {
+        (0..self.routing.routes.len())
+            .map(|i| self.extra_hops(EdgeId::from_index(i)))
+            .collect()
+    }
+
     /// The route of one edge.
     pub fn route(&self, edge: EdgeId) -> &Route {
         &self.routing.routes[edge.index()]

@@ -21,7 +21,7 @@ use crate::mapping::MappedKernel;
 use uecgra_clock::VfMode;
 use uecgra_dfg::analysis::Grouping;
 use uecgra_dfg::{Dfg, NodeId};
-use uecgra_model::{EnergyDelay, EnergyDelayEstimator};
+use uecgra_model::{EnergyDelay, EnergyDelayEstimator, ModelParams};
 
 /// Whether the seed configuration maximizes performance (all-sprint,
 /// the paper's "POpt") or energy (all-nominal, "EOpt").
@@ -78,7 +78,7 @@ pub fn power_map(dfg: &Dfg, mem: Vec<u32>, marker: NodeId, objective: Objective)
 
 /// Routing-aware variant of [`power_map`]: `edge_extra_hops` gives the
 /// routed bypass-hop count of each edge (from
-/// [`MappedKernel::extra_hops`]), so `MeasureEnergyDelay` sees the
+/// [`MappedKernel::edge_extra_hops`]), so `MeasureEnergyDelay` sees the
 /// physical recurrence lengths instead of the logical ones. This is
 /// the minimal form of the iterative physically-constrained mapping
 /// the paper describes as future work; it lets the pass rest groups
@@ -92,24 +92,28 @@ pub fn power_map_routed(
 ) -> PowerMapping {
     let estimator =
         EnergyDelayEstimator::new(dfg, mem, marker).with_edge_latency(edge_extra_hops.to_vec());
-    let baseline = estimator.measure(&vec![VfMode::Nominal; dfg.node_count()]);
+    power_map_with(dfg, estimator.params(), objective, |m| estimator.measure(m))
+}
+
+/// Phases 1–2 of the pass with the measurement supplied by the caller:
+/// `measure` is `MeasureEnergyDelay` for one per-node assignment, and
+/// `params` gives the energy weights that order the greedy walk. The
+/// DSE passes a measurement that reads and fills its evaluation cache.
+pub fn power_map_with(
+    dfg: &Dfg,
+    params: &ModelParams,
+    objective: Objective,
+    mut measure: impl FnMut(&[VfMode]) -> EnergyDelay,
+) -> PowerMapping {
+    let baseline = measure(&vec![VfMode::Nominal; dfg.node_count()]);
 
     // Phase 1: complexity reduction.
     let grouping = Grouping::chains(dfg);
-    let groups: Vec<usize> = (0..grouping.len())
-        .filter(|&g| {
-            grouping
-                .members(g)
-                .iter()
-                .all(|&n| !dfg.node(n).op.is_pseudo())
-        })
-        .collect();
+    let mut ordered = grouping.searchable(dfg);
 
     // Greedy order: largest potential energy savings first. A group's
     // potential is the relative energy of its ops (memory ops include
     // their SRAM subbank access).
-    let params = estimator.params().clone();
-    let mut ordered = groups.clone();
     let group_power = |g: usize| -> f64 {
         grouping
             .members(g)
@@ -151,7 +155,7 @@ pub fn power_map_routed(
 
     let seed = objective.seed();
     let mut group_modes: Vec<VfMode> = vec![seed; grouping.len()];
-    let mut best = estimator.measure(&expand(&group_modes));
+    let mut best = measure(&expand(&group_modes));
 
     for &g in &ordered {
         let original = group_modes[g];
@@ -161,7 +165,7 @@ pub fn power_map_routed(
                 break; // nominal seed: trying nominal again is a no-op
             }
             group_modes[g] = candidate;
-            let measured = estimator.measure(&expand(&group_modes));
+            let measured = measure(&expand(&group_modes));
             if measured.edp_gain_over(&best) >= 1.0 {
                 best = measured;
                 accepted = true;
@@ -339,7 +343,7 @@ mod tests {
         for (k, (name, popt, eopt)) in kernels::all_kernels().iter().zip(pins) {
             assert_eq!(k.name, name);
             let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
-            let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+            let extra = mapped.edge_extra_hops();
             let got_popt = power_map_routed(
                 &k.dfg,
                 k.mem.clone(),

@@ -6,8 +6,9 @@
 
 use crate::energy::{cgra_energy, global_scale_point, CgraEnergy};
 use crate::error::Error;
-use crate::pipeline::{CgraRun, Policy};
+use crate::pipeline::{CgraRun, Policy, RunRequest};
 use uecgra_clock::VfMode;
+use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_dfg::Kernel;
 use uecgra_rtl::config_load;
 use uecgra_system::{core_energy_pj, programs, CoreEnergyParams, OffloadOverheads};
@@ -45,7 +46,8 @@ pub struct KernelRuns {
     pub popt: CgraRun,
 }
 
-/// Run all three policies on one kernel, one worker per policy.
+/// Run all three policies on one kernel
+/// ([`run_all_policies_many`] of one).
 ///
 /// # Errors
 ///
@@ -54,27 +56,38 @@ pub fn run_all_policies(kernel: &Kernel, seed: u64) -> Result<KernelRuns, Error>
     run_all_policies_many(std::slice::from_ref(kernel), seed).map(|mut v| v.remove(0))
 }
 
-/// Run all three policies on every kernel, fanning the whole
-/// kernel × policy grid out across worker threads
-/// ([`crate::pipeline::run_kernels_parallel`]). Results come back in
-/// kernel input order and are bit-identical at any thread count.
+/// Run all three policies on every kernel. Placement does not depend
+/// on the policy, so each kernel is placed and routed once and the
+/// three policies power-map, assemble and execute on that mapping.
+/// Both stages fan out across worker threads through
+/// [`uecgra_util::par_tabulate`]; results come back in kernel input
+/// order and are bit-identical at any thread count.
 ///
 /// # Errors
 ///
-/// Propagates the first pipeline failure in grid order.
+/// Propagates the first pipeline failure in kernel × policy order.
 pub fn run_all_policies_many(kernels: &[Kernel], seed: u64) -> Result<Vec<KernelRuns>, Error> {
-    let grid = crate::pipeline::run_kernels_parallel(kernels, seed);
+    let mapped = uecgra_util::par_tabulate(kernels.len(), |k| {
+        MappedKernel::map(&kernels[k].dfg, ArrayShape::default(), seed)
+    });
+    let n_pol = Policy::ALL.len();
+    let mut runs = uecgra_util::par_tabulate(kernels.len() * n_pol, |i| {
+        RunRequest::new(&kernels[i / n_pol])
+            .policy(Policy::ALL[i % n_pol])
+            .compile_mapped(mapped[i / n_pol].clone()?)?
+            .execute()
+    })
+    .into_iter();
     kernels
         .iter()
-        .zip(grid)
-        .map(|(kernel, runs)| {
+        .map(|kernel| {
             // Policy::ALL order: E-CGRA, EOpt, POpt.
-            let mut runs = runs.into_iter();
+            let mut next = || runs.next().expect("full grid");
             Ok(KernelRuns {
                 kernel: kernel.clone(),
-                e: runs.next().expect("grid row")?,
-                eopt: runs.next().expect("grid row")?,
-                popt: runs.next().expect("grid row")?,
+                e: next()?,
+                eopt: next()?,
+                popt: next()?,
             })
         })
         .collect()
@@ -339,6 +352,30 @@ mod tests {
             kernels::fft::build_with_group(60),
             kernels::bf::build_with_rounds(24),
         ]
+    }
+
+    #[test]
+    fn shared_mapping_matches_independent_runs() {
+        let ks = [
+            kernels::llist::build_with_hops(40),
+            kernels::dither::build_with_pixels(40),
+            kernels::fft::build_with_group(40),
+        ];
+        for runs in run_all_policies_many(&ks, SEED).unwrap() {
+            let shared = [&runs.e, &runs.eopt, &runs.popt];
+            for (policy, shared) in Policy::ALL.into_iter().zip(shared) {
+                let alone = RunRequest::new(&runs.kernel)
+                    .policy(policy)
+                    .seed(SEED)
+                    .run()
+                    .unwrap();
+                let what = format!("{} {}", runs.kernel.name, policy.label());
+                assert_eq!(shared.mapped, alone.mapped, "{what}: mapping");
+                assert_eq!(shared.modes, alone.modes, "{what}: modes");
+                assert_eq!(shared.bitstream.grid, alone.bitstream.grid, "{what}");
+                assert_eq!(shared.activity, alone.activity, "{what}: activity");
+            }
+        }
     }
 
     #[test]

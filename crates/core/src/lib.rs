@@ -49,5 +49,5 @@ pub mod par {
 
 pub use energy::{cgra_energy, CgraEnergy};
 pub use error::{error_chain, Error};
-pub use pipeline::{run_kernels_parallel, CgraRun, Policy, RunRequest};
+pub use pipeline::{CgraRun, Policy, RunRequest};
 pub use report::{metrics_report, run_report};

@@ -27,6 +27,13 @@
 //! `uecgra` CLI runs a lowered loop. [`RunRequest::compile`] stops
 //! after the bitstream; [`RunRequest::run`] also executes it on
 //! [`Fabric::run`], the event-driven engine.
+//!
+//! The compile step has two stages. Placement and routing depend only
+//! on the graph and the seed, never on the policy; the per-policy step
+//! (`RunRequest::compile_mapped`) power-maps on the mapping's per-edge
+//! extra hops and assembles. `run_all_policies_many` in
+//! [`crate::experiments`] places each kernel once and finishes all
+//! three policies from that mapping.
 
 use crate::error::Error;
 use uecgra_clock::VfMode;
@@ -105,11 +112,6 @@ impl CgraRun {
     pub fn ii(&self) -> f64 {
         self.try_ii()
             .expect("kernel runs enough iterations for a steady state")
-    }
-
-    /// Throughput in iterations per nominal cycle.
-    pub fn throughput(&self) -> f64 {
-        1.0 / self.ii()
     }
 
     /// Wall-clock compute time in nanoseconds (750 MHz nominal).
@@ -236,22 +238,27 @@ impl<'a> RunRequest<'a> {
     /// otherwise [`Error::Map`] or [`Error::Assemble`] from the first
     /// failing stage.
     pub fn compile(mut self) -> Result<Compiled<'a>, Error> {
-        let dfg = self.dfg;
-        let objective = match self.policy {
-            Policy::ECgra => None,
-            Policy::UeEnergyOpt => Some(Objective::Energy),
-            Policy::UePerfOpt => Some(Objective::Performance),
-        };
-        if objective.is_some() {
-            require_steady_state(self.iterations)?;
-        }
+        // Reject a loop too short to power-map before placing it.
+        self.objective()?;
+        let (dfg, seed) = (self.dfg, self.seed);
         let mapped = timed(&mut self.sink, Phase::PlaceRoute, || {
-            MappedKernel::map(dfg, ArrayShape::default(), self.seed)
+            MappedKernel::map(dfg, ArrayShape::default(), seed)
         })?;
+        self.compile_mapped(mapped)
+    }
+
+    /// The per-policy half of the compile step: power-map for the
+    /// policy, then assemble and validate the bitstream on `mapped`,
+    /// which must be this request's graph placed and routed with its
+    /// seed. Placement does not depend on the policy, so the three
+    /// policies can share one mapping.
+    pub(crate) fn compile_mapped(mut self, mapped: MappedKernel) -> Result<Compiled<'a>, Error> {
+        let objective = self.objective()?;
+        let dfg = self.dfg;
         // Routing-aware power mapping: feed the routed per-edge hop
         // counts into MeasureEnergyDelay so rest/sprint decisions see
         // physical recurrence lengths.
-        let extra: Vec<u32> = dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+        let extra = mapped.edge_extra_hops();
         let modes = timed(&mut self.sink, Phase::PowerMap, || match objective {
             None => vec![VfMode::Nominal; dfg.node_count()],
             Some(objective) => {
@@ -268,6 +275,19 @@ impl<'a> RunRequest<'a> {
             modes,
             request: self,
         })
+    }
+
+    /// The power-mapping objective of the policy (`None` for E-CGRA).
+    fn objective(&self) -> Result<Option<Objective>, Error> {
+        let objective = match self.policy {
+            Policy::ECgra => None,
+            Policy::UeEnergyOpt => Some(Objective::Energy),
+            Policy::UePerfOpt => Some(Objective::Performance),
+        };
+        if objective.is_some() {
+            require_steady_state(self.iterations)?;
+        }
+        Ok(objective)
     }
 
     /// Compile and execute: [`RunRequest::compile`] followed by
@@ -318,33 +338,17 @@ impl Compiled<'_> {
     /// plan — [`Error::Stalled`] for a run that quiesced short of its
     /// iteration target.
     pub fn execute(self) -> Result<CgraRun, Error> {
-        let Compiled {
-            mapped,
-            bitstream,
-            modes,
-            request,
-        } = self;
-        let RunRequest {
-            mem,
-            marker,
-            iterations,
-            policy,
-            queue_depth,
-            record_events,
-            faults,
-            mut sink,
-            ..
-        } = request;
-        let watchdog = !faults.is_empty();
+        let mut request = self.request;
+        let watchdog = !request.faults.is_empty();
         let config = FabricConfig {
-            marker: Some(mapped.coord_of(marker)),
-            queue_capacity: queue_depth,
-            record_events,
-            faults,
+            marker: Some(self.mapped.coord_of(request.marker)),
+            queue_capacity: request.queue_depth,
+            record_events: request.record_events,
+            faults: request.faults,
             ..FabricConfig::default()
         };
-        let activity = timed(&mut sink, Phase::Simulate, || {
-            Fabric::new(&bitstream, mem.to_vec(), config).run()
+        let activity = timed(&mut request.sink, Phase::Simulate, || {
+            Fabric::new(&self.bitstream, request.mem.to_vec(), config).run()
         });
         if activity.stop == FabricStop::ProtocolViolation {
             let v = *activity
@@ -361,7 +365,7 @@ impl Compiled<'_> {
         // deadlocked (under faults this is the expected failure mode of
         // a permanently stuck handshake or stalled domain). Attribute
         // the stall to the PE with the most blocked edges.
-        if watchdog && activity.iterations() < iterations {
+        if watchdog && activity.iterations() < request.iterations {
             return Err(Error::Stalled {
                 cycle: activity.ticks,
                 pe: worst_stalled_pe(&activity),
@@ -369,12 +373,12 @@ impl Compiled<'_> {
         }
 
         Ok(CgraRun {
-            policy,
-            mapped,
-            bitstream,
-            modes,
+            policy: request.policy,
+            mapped: self.mapped,
+            bitstream: self.bitstream,
+            modes: self.modes,
             activity,
-            iterations,
+            iterations: request.iterations,
         })
     }
 }
@@ -395,37 +399,6 @@ fn worst_stalled_pe(act: &Activity) -> (usize, usize) {
         }
     }
     best
-}
-
-/// Compile and execute every `(kernel, policy)` pair across worker
-/// threads, returning results grouped per kernel in input order
-/// (`result[k][p]` is kernel `k` under `Policy::ALL[p]`).
-///
-/// Each pair is an independent pure function of its inputs, so the
-/// fan-out uses [`uecgra_util::par`]: outputs land in index-addressed
-/// slots and are bit-identical for any `UECGRA_THREADS` setting.
-///
-/// # Errors
-///
-/// Each slot carries its own [`Error`]; one failing pair does not
-/// abort the rest.
-pub fn run_kernels_parallel(kernels: &[Kernel], seed: u64) -> Vec<Vec<Result<CgraRun, Error>>> {
-    let n_pol = Policy::ALL.len();
-    let mut flat = uecgra_util::par_tabulate(kernels.len() * n_pol, |i| {
-        RunRequest::new(&kernels[i / n_pol])
-            .policy(Policy::ALL[i % n_pol])
-            .seed(seed)
-            .run()
-    })
-    .into_iter();
-    kernels
-        .iter()
-        .map(|_| {
-            (0..n_pol)
-                .map(|_| flat.next().expect("full grid"))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

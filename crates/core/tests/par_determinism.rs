@@ -6,8 +6,7 @@
 //! the process-wide `UECGRA_THREADS` variable; separate tests in one
 //! binary would race on it.
 
-use uecgra_core::experiments::SEED;
-use uecgra_core::pipeline::run_kernels_parallel;
+use uecgra_core::experiments::{run_all_policies_many, SEED};
 use uecgra_core::report::run_report;
 use uecgra_dfg::kernels::{self, synthetic};
 use uecgra_dse::{explore_points, DseConfig, DseOutcome, DsePoint, EvalCache};
@@ -34,11 +33,11 @@ fn one_thread_and_eight_threads_are_bit_identical() {
         kernels::llist::build_with_hops(40),
         kernels::dither::build_with_pixels(40),
     ];
-    let runs_serial = run_kernels_parallel(&kernels, SEED);
+    let runs_serial = run_all_policies_many(&kernels, SEED).unwrap();
 
     std::env::set_var("UECGRA_THREADS", "8");
     let sweep_par = fig3_sweep();
-    let runs_par = run_kernels_parallel(&kernels, SEED);
+    let runs_par = run_all_policies_many(&kernels, SEED).unwrap();
     std::env::remove_var("UECGRA_THREADS");
 
     // The full sweep — every point's modes and measurement, and the
@@ -52,8 +51,12 @@ fn one_thread_and_eight_threads_are_bit_identical() {
     // Every kernel × policy run: identical Activity (fires, memory
     // image, cycle counts — PartialEq covers all fields) and modes.
     for (row_s, row_p) in runs_serial.iter().zip(&runs_par) {
-        for (r_s, r_p) in row_s.iter().zip(row_p) {
-            let (r_s, r_p) = (r_s.as_ref().unwrap(), r_p.as_ref().unwrap());
+        let pairs = [
+            (&row_s.e, &row_p.e),
+            (&row_s.eopt, &row_p.eopt),
+            (&row_s.popt, &row_p.popt),
+        ];
+        for (r_s, r_p) in pairs {
             assert_eq!(r_s.activity, r_p.activity, "Activity diverged");
             assert_eq!(r_s.modes, r_p.modes, "mode assignment diverged");
             assert_eq!(r_s.bitstream.grid, r_p.bitstream.grid, "bitstream diverged");

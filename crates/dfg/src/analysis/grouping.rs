@@ -97,6 +97,15 @@ impl Grouping {
     pub fn members(&self, idx: usize) -> &[NodeId] {
         &self.groups[idx]
     }
+
+    /// The groups a power mapping may change, in index order: all but
+    /// the pseudo-op singletons (pseudo-ops never join a chain), which
+    /// stay nominal.
+    pub fn searchable(&self, graph: &Dfg) -> Vec<usize> {
+        (0..self.len())
+            .filter(|&g| !graph.node(self.groups[g][0]).op.is_pseudo())
+            .collect()
+    }
 }
 
 #[cfg(test)]

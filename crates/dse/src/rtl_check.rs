@@ -2,8 +2,9 @@
 //!
 //! The explorer scores candidates with the analytical model only; this
 //! module re-validates a chosen assignment on the cycle-level fabric by
-//! reusing the differential oracle: place-and-route the kernel,
-//! assemble the bitstream with the candidate's modes, execute on the
+//! reusing the differential oracle: on the caller's placed-and-routed
+//! kernel (the mapping the search's extra hops came from), assemble
+//! the bitstream with the candidate's modes, execute on the
 //! event-driven engine ([`Fabric::run`]) **and** the dense reference
 //! stepper ([`Fabric::run_reference`]), and require bit-identical
 //! activity plus a final memory image matching the kernel's host
@@ -13,19 +14,23 @@
 
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
-use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
+use uecgra_compiler::mapping::MappedKernel;
 use uecgra_dfg::Kernel;
 use uecgra_rtl::{Fabric, FabricConfig};
 
-/// Run `node_modes` through the full pipeline on the engine and the
-/// dense oracle and check them against each other and the host
-/// reference.
+/// Assemble `node_modes` onto `mapped` (a mapping of `kernel`), run it
+/// on the engine and the dense oracle, and check them against each
+/// other and the host reference.
 ///
 /// # Errors
 ///
-/// Returns a description of the first failure: mapping, bitstream
-/// assembly or validation, an engine divergence, or a wrong result.
-pub fn rtl_crosscheck(kernel: &Kernel, node_modes: &[VfMode], seed: u64) -> Result<(), String> {
+/// Returns a description of the first failure: bitstream assembly or
+/// validation, an engine divergence, or a wrong result.
+pub fn rtl_crosscheck(
+    kernel: &Kernel,
+    mapped: &MappedKernel,
+    node_modes: &[VfMode],
+) -> Result<(), String> {
     if node_modes.len() != kernel.dfg.node_count() {
         return Err(format!(
             "{}: {} modes for {} nodes",
@@ -34,9 +39,7 @@ pub fn rtl_crosscheck(kernel: &Kernel, node_modes: &[VfMode], seed: u64) -> Resu
             kernel.dfg.node_count()
         ));
     }
-    let mapped = MappedKernel::map(&kernel.dfg, ArrayShape::default(), seed)
-        .map_err(|e| format!("{}: mapping failed: {e:?}", kernel.name))?;
-    let bitstream = Bitstream::assemble(&kernel.dfg, &mapped, node_modes)
+    let bitstream = Bitstream::assemble(&kernel.dfg, mapped, node_modes)
         .map_err(|e| format!("{}: assembly failed: {e:?}", kernel.name))?;
     bitstream
         .validate()
@@ -81,18 +84,25 @@ pub fn rtl_crosscheck(kernel: &Kernel, node_modes: &[VfMode], seed: u64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uecgra_compiler::mapping::ArrayShape;
     use uecgra_dfg::kernels;
+
+    fn llist() -> (Kernel, MappedKernel) {
+        let k = kernels::llist::build_with_hops(40);
+        let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
+        (k, mapped)
+    }
 
     #[test]
     fn nominal_assignment_passes_the_crosscheck() {
-        let k = kernels::llist::build_with_hops(40);
+        let (k, mapped) = llist();
         let modes = vec![VfMode::Nominal; k.dfg.node_count()];
-        rtl_crosscheck(&k, &modes, 7).unwrap();
+        rtl_crosscheck(&k, &mapped, &modes).unwrap();
     }
 
     #[test]
     fn wrong_length_assignment_fails_loudly() {
-        let k = kernels::llist::build_with_hops(40);
-        assert!(rtl_crosscheck(&k, &[VfMode::Nominal], 7).is_err());
+        let (k, mapped) = llist();
+        assert!(rtl_crosscheck(&k, &mapped, &[VfMode::Nominal]).is_err());
     }
 }

@@ -46,9 +46,6 @@ use uecgra_util::SplitMix64;
 /// Hill-climb restarts (the exhaustive strategy has none).
 const RESTARTS: usize = 6;
 
-/// Measurement window (iterations) forwarded to the estimator.
-const ITERATIONS: u64 = 96;
-
 /// Explorer knobs. [`Default`] matches the CLI defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DseConfig {
@@ -255,8 +252,16 @@ impl<'a> Evaluator<'a> {
         keys.iter().map(|k| batch[&k.as_u128()]).collect()
     }
 
-    fn unique_len(&self) -> usize {
-        self.unique.len()
+    /// One measurement through the cache, outside the search's
+    /// `evaluations` and `unique` counts: the greedy baselines'
+    /// trajectories run on this.
+    fn measure_cached(&self, modes: &[VfMode]) -> EnergyDelay {
+        let key = candidate_key(self.config, modes);
+        self.cache.lookup(key).unwrap_or_else(|| {
+            let ed = self.estimator.measure(modes);
+            self.cache.insert(key, ed);
+            ed
+        })
     }
 }
 
@@ -333,18 +338,11 @@ pub fn explore_points(
     cfg: &DseConfig,
     cache: &EvalCache,
 ) -> (DseOutcome, Vec<DsePoint>) {
-    use uecgra_compiler::power_map::{power_map_routed, Objective};
+    use uecgra_compiler::power_map::{power_map_with, Objective};
 
     // Grouping, exactly as the greedy pass groups (phase 1).
     let grouping = Grouping::chains(dfg);
-    let groups: Vec<usize> = (0..grouping.len())
-        .filter(|&g| {
-            grouping
-                .members(g)
-                .iter()
-                .all(|&n| !dfg.node(n).op.is_pseudo())
-        })
-        .collect();
+    let groups = grouping.searchable(dfg);
     let expand = |assignment: &[VfMode]| -> Vec<VfMode> {
         let mut modes = vec![VfMode::Nominal; dfg.node_count()];
         for (slot, &g) in groups.iter().enumerate() {
@@ -363,17 +361,10 @@ pub fn explore_points(
             .collect()
     };
 
-    let estimator = EnergyDelayEstimator::new(dfg, mem.clone(), marker)
-        .with_edge_latency(extra_hops.to_vec())
-        .with_iterations(ITERATIONS);
-    let config = config_digest(
-        dfg,
-        &mem,
-        marker,
-        extra_hops,
-        estimator.params(),
-        ITERATIONS,
-    );
+    let estimator =
+        EnergyDelayEstimator::new(dfg, mem.clone(), marker).with_edge_latency(extra_hops.to_vec());
+    let window = EnergyDelayEstimator::WINDOW;
+    let config = config_digest(dfg, &mem, marker, extra_hops, estimator.params(), window);
     let mut ev = Evaluator {
         estimator,
         config,
@@ -395,11 +386,13 @@ pub fn explore_points(
         eds
     };
 
-    // Seed round: uniform assignments + the greedy baselines.
+    // Seed round: uniform assignments + the greedy baselines, whose
+    // trajectories measure through the same cache.
     let greedy: Vec<Vec<VfMode>> = [Objective::Performance, Objective::Energy]
         .iter()
         .map(|&obj| {
-            project(&power_map_routed(dfg, mem.clone(), marker, obj, extra_hops).node_modes)
+            let params = ev.estimator.params();
+            project(&power_map_with(dfg, params, obj, |m| ev.measure_cached(m)).node_modes)
         })
         .collect();
     let mut seeds: Vec<Vec<VfMode>> = VfMode::ALL.iter().map(|&m| vec![m; groups.len()]).collect();
@@ -445,7 +438,7 @@ pub fn explore_points(
         record(&all, &mut ev);
     } else {
         for restart in 0..RESTARTS {
-            if ev.unique_len() >= cfg.budget {
+            if ev.unique.len() >= cfg.budget {
                 break;
             }
             let objective = Scalar::ALL[restart % Scalar::ALL.len()];
@@ -457,7 +450,7 @@ pub fn explore_points(
                 .collect();
             let mut current_cost = objective.cost(&record(&[current.clone()], &mut ev)[0]);
             loop {
-                if ev.unique_len() >= cfg.budget {
+                if ev.unique.len() >= cfg.budget {
                     break;
                 }
                 // All single-group mode changes, evaluated as one batch.
@@ -518,7 +511,11 @@ pub fn explore_points(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uecgra_dfg::kernels::synthetic;
+    use std::collections::HashSet;
+    use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
+    use uecgra_compiler::power_map::{power_map_with, Objective};
+    use uecgra_dfg::kernels::{dither, llist, synthetic};
+    use uecgra_dfg::Kernel;
 
     fn run(cfg: &DseConfig) -> DseOutcome {
         let toy = synthetic::fig2_toy();
@@ -548,11 +545,33 @@ mod tests {
         assert!(out.dominates_baseline(), "baseline seeding guarantees this");
     }
 
+    /// A small Table II kernel, its routed extra hops, and its config
+    /// digest.
+    fn routed(k: Kernel) -> (Kernel, Vec<u32>, Digest) {
+        let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
+        let extra = mapped.edge_extra_hops();
+        let params = ModelParams::default();
+        let window = EnergyDelayEstimator::WINDOW;
+        let config = config_digest(&k.dfg, &k.mem, k.iter_marker, &extra, &params, window);
+        (k, extra, config)
+    }
+
+    /// Replay both greedy passes, asserting every candidate they
+    /// measure is already in `cache`; returns the candidates' keys.
+    fn greedy_keys_all_cached(k: &Kernel, config: Digest, cache: &EvalCache) -> HashSet<u128> {
+        let mut keys = HashSet::new();
+        for obj in [Objective::Performance, Objective::Energy] {
+            power_map_with(&k.dfg, &ModelParams::default(), obj, |modes| {
+                let key = candidate_key(config, modes);
+                keys.insert(key.as_u128());
+                cache.lookup(key).expect("greedy candidate is cached")
+            });
+        }
+        keys
+    }
+
     #[test]
     fn exploration_is_deterministic_and_cache_transparent() {
-        use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
-        use uecgra_dfg::kernels::{dither, llist};
-
         // Small routed Table II kernels sharing one cache, one per
         // strategy.
         let cfg = DseConfig::default();
@@ -561,17 +580,27 @@ mod tests {
             (llist::build_with_hops(40), "exhaustive"),
             (dither::build_with_pixels(40), "hillclimb"),
         ] {
-            let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
-            let extra: Vec<u32> = k.dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
-            let run = || explore(&k.dfg, k.mem.clone(), k.iter_marker, &extra, &cfg, &cache);
+            let (k, extra, config) = routed(k);
+            let run = || explore_points(&k.dfg, k.mem.clone(), k.iter_marker, &extra, &cfg, &cache);
             let misses = cache.misses();
-            let cold = run();
+            let (cold, points) = run();
             assert_eq!(cold.strategy, strategy, "{}", k.name);
-            assert_eq!(cache.misses() - misses, cold.unique_configs, "{}", k.name);
+            // A cold run caches every configuration the greedy passes
+            // measure, and misses once per distinct configuration: the
+            // search's own plus those only the greedy passes visit.
+            let search: HashSet<u128> = points
+                .iter()
+                .map(|p| candidate_key(config, &p.modes).as_u128())
+                .collect();
+            assert_eq!(search.len() as u64, cold.unique_configs, "{}", k.name);
+            let greedy = greedy_keys_all_cached(&k, config, &cache);
+            let cold_misses = cache.misses() - misses;
+            let greedy_only = greedy.difference(&search).count() as u64;
+            assert_eq!(cold_misses, cold.unique_configs + greedy_only, "{}", k.name);
             // Same cache now warm: every value identical, nothing
             // measured again.
-            assert_eq!(run(), cold, "{}", k.name);
-            assert_eq!(cache.misses() - misses, cold.unique_configs, "{}", k.name);
+            assert_eq!(run(), (cold.clone(), points), "{}", k.name);
+            assert_eq!(cache.misses() - misses, cold_misses, "{}", k.name);
             assert!(cold.dominates_baseline(), "{}", k.name);
         }
     }

@@ -67,30 +67,26 @@ pub struct EnergyDelayEstimator<'a> {
     mem: Vec<u32>,
     marker: NodeId,
     power: PowerModel,
-    iterations: u64,
-    warmup: usize,
     edge_extra_latency: Vec<u32>,
 }
 
 impl<'a> EnergyDelayEstimator<'a> {
+    /// The measurement window: iterations simulated per measurement.
+    pub const WINDOW: u64 = 96;
+
+    /// Marker fires skipped before the steady-state window.
+    const WARMUP: usize = 16;
+
     /// Create an estimator with the default parameter set and a
-    /// 96-iteration measurement window.
+    /// [`WINDOW`](Self::WINDOW)-iteration measurement window.
     pub fn new(dfg: &'a Dfg, mem: Vec<u32>, marker: NodeId) -> Self {
         EnergyDelayEstimator {
             dfg,
             mem,
             marker,
             power: PowerModel::new(ModelParams::default()),
-            iterations: 96,
-            warmup: 16,
             edge_extra_latency: Vec::new(),
         }
-    }
-
-    /// Override the measurement window (iterations simulated).
-    pub fn with_iterations(mut self, iterations: u64) -> Self {
-        self.iterations = iterations;
-        self
     }
 
     /// Make the estimator routing-aware: per-edge extra latency in
@@ -114,7 +110,7 @@ impl<'a> EnergyDelayEstimator<'a> {
         let config = SimConfig {
             clocks: self.params().clocks.clone(),
             marker: Some(self.marker),
-            max_marker_fires: Some(self.iterations),
+            max_marker_fires: Some(Self::WINDOW),
             edge_extra_latency: self.edge_extra_latency.clone(),
             ..SimConfig::default()
         };
@@ -132,9 +128,7 @@ impl<'a> EnergyDelayEstimator<'a> {
         let result = self.simulate(modes);
         // Short-trip-count kernels may quiesce before the configured
         // window; shrink the warmup so a steady II is still measurable.
-        let warmup = self
-            .warmup
-            .min(result.marker_times.len().saturating_sub(2) / 2);
+        let warmup = Self::WARMUP.min(result.marker_times.len().saturating_sub(2) / 2);
         let ii = result
             .steady_ii(warmup)
             .unwrap_or_else(|| panic!("mapping reached no steady state: {:?}", result.stop));
