@@ -40,6 +40,9 @@ pub enum Error {
         /// the check precedes power mapping).
         iterations: u64,
     },
+    /// The request asked for input queues of depth zero, which can
+    /// hold no token.
+    ZeroQueueDepth,
     /// The fabric made no forward progress (livelock/deadlock — e.g.
     /// under injected faults) and quiesced before reaching its
     /// iteration target.
@@ -76,6 +79,7 @@ impl std::fmt::Display for Error {
                 f,
                 "{iterations} iterations are too few for a steady-state window"
             ),
+            Error::ZeroQueueDepth => write!(f, "input queues need a depth of at least one"),
             Error::Stalled { cycle, pe } => write!(
                 f,
                 "fabric stalled without progress at tick {cycle} (worst stall: PE ({}, {}))",
@@ -98,6 +102,7 @@ impl std::error::Error for Error {
             Error::DidNotTerminate => None,
             Error::Protocol(v) => Some(v),
             Error::NoSteadyState { .. } => None,
+            Error::ZeroQueueDepth => None,
             Error::Stalled { .. } => None,
             Error::Io { .. } => None,
             Error::Report(e) => Some(e),

@@ -198,7 +198,8 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Input-queue capacity (default: 2, the paper's).
+    /// Input-queue capacity (default: 2, the paper's). Zero is
+    /// rejected with [`Error::ZeroQueueDepth`] before placement.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -233,13 +234,15 @@ impl<'a> RunRequest<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoSteadyState`] when the policy power-maps a
-    /// loop of fewer than two iterations (see [`require_steady_state`]),
+    /// Returns [`Error::ZeroQueueDepth`] for a queue depth of zero,
+    /// [`Error::NoSteadyState`] when the policy power-maps a loop of
+    /// fewer than two iterations (see [`require_steady_state`]),
     /// otherwise [`Error::Map`] or [`Error::Assemble`] from the first
     /// failing stage.
     pub fn compile(mut self) -> Result<Compiled<'a>, Error> {
-        // Reject a loop too short to power-map before placing it.
-        self.objective()?;
+        // Reject a request the fabric cannot run, or a loop too short
+        // to power-map, before placing it.
+        self.preflight()?;
         let (dfg, seed) = (self.dfg, self.seed);
         let mapped = timed(&mut self.sink, Phase::PlaceRoute, || {
             MappedKernel::map(dfg, ArrayShape::default(), seed)
@@ -253,7 +256,7 @@ impl<'a> RunRequest<'a> {
     /// seed. Placement does not depend on the policy, so the three
     /// policies can share one mapping.
     pub(crate) fn compile_mapped(mut self, mapped: MappedKernel) -> Result<Compiled<'a>, Error> {
-        let objective = self.objective()?;
+        let objective = self.preflight()?;
         let dfg = self.dfg;
         // Routing-aware power mapping: feed the routed per-edge hop
         // counts into MeasureEnergyDelay so rest/sprint decisions see
@@ -277,8 +280,12 @@ impl<'a> RunRequest<'a> {
         })
     }
 
-    /// The power-mapping objective of the policy (`None` for E-CGRA).
-    fn objective(&self) -> Result<Option<Objective>, Error> {
+    /// The checks that need no placement, then the power-mapping
+    /// objective of the policy (`None` for E-CGRA).
+    fn preflight(&self) -> Result<Option<Objective>, Error> {
+        if self.queue_depth == 0 {
+            return Err(Error::ZeroQueueDepth);
+        }
         let objective = match self.policy {
             Policy::ECgra => None,
             Policy::UeEnergyOpt => Some(Objective::Energy),

@@ -82,3 +82,28 @@ fn map_errors_chain_the_mapping_stage() {
     assert!(chain.starts_with("error: mapping failed"), "{chain}");
     assert!(chain.contains("caused by:"), "{chain}");
 }
+
+#[test]
+fn zero_queue_depth_fails_before_placement() {
+    // A runnable kernel gets the structured error instead of a panic
+    // in the fabric's queue constructor.
+    let k = uecgra_dfg::kernels::llist::build_with_hops(20);
+    let err = RunRequest::new(&k)
+        .queue_depth(0)
+        .run()
+        .expect_err("queues of depth zero cannot run");
+    assert!(matches!(err, Error::ZeroQueueDepth), "{err:?}");
+    // An unplaceable kernel proves the check precedes placement: it
+    // would otherwise fail with a mapping error.
+    let s = synthetic::chain(100);
+    let k = kernel_of("chain100", s.dfg, s.iter_marker);
+    let err = RunRequest::new(&k)
+        .queue_depth(0)
+        .run()
+        .expect_err("zero depth");
+    assert!(matches!(err, Error::ZeroQueueDepth), "{err:?}");
+    assert_eq!(
+        error_chain(&err),
+        "error: input queues need a depth of at least one"
+    );
+}

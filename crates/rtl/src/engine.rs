@@ -42,12 +42,23 @@
 //! limit, whichever is sooner). Before any queue mutation the affected
 //! PE is *caught up*: the rising edges it skipped are replayed in bulk
 //! into the same counters the dense engine maintains per tick.
+//!
+//! # Data layout
+//!
+//! A run allocates nothing per fire; the scheduler divides nothing. PEs
+//! sit in one row-major array, each with a link table (neighbour index
+//! and facing-back queue per direction); plans are fixed-size records;
+//! counters are flat per-PE arrays, nested once for [`Activity`];
+//! `SimClock` advances domain edges by addition; and a queue's
+//! occupancy samples are credited in one step whenever its length is
+//! about to change (`Counters::flush_occupancy`), not on every edge.
 
-use crate::fabric::{Activity, EdgeTally, Fabric, FabricStop, FireEvent, Plan, SuppressorKind};
+use crate::fabric::{
+    Activity, DirBits, EdgeTally, Fabric, FabricStop, FireEvent, Plan, SuppressorKind,
+};
 use crate::queue::Token;
 use uecgra_clock::{ClockSet, VfMode};
 use uecgra_compiler::bitstream::{Dir, PeRole};
-use uecgra_compiler::mapping::Coord;
 use uecgra_dfg::Op;
 
 /// The five-way disposition of one local rising edge (mirrors the
@@ -61,15 +72,13 @@ enum EdgeClass {
     Gated,
 }
 
-/// Per-PE scheduling state: how many of its rising edges are already
-/// accounted for, and the outcome its skipped edges replay.
+/// Per-PE scheduling state: the outcome its skipped edges replay.
+/// (How many of its rising edges are already accounted for is
+/// `Counters::rising_edges`.)
 #[derive(Debug, Clone, Copy)]
 struct PeSched {
     clk: VfMode,
     gated: bool,
-    /// Rising edges accounted so far; after accounting through tick
-    /// `t` this equals `t / period + 1` (edge at 0 always counts).
-    edges_seen: u64,
     class: EdgeClass,
     in_stalls: u64,
     out_stalls: u64,
@@ -79,62 +88,111 @@ struct PeSched {
 /// draining in ascending bit order reproduces the dense stepper's
 /// row-major evaluation (and therefore its plan order exactly).
 struct ReadySets {
-    words: [Vec<u64>; 3],
+    /// `n_words` words per domain, domain `m` at `m * n_words ..`.
+    words: Vec<u64>,
     n_words: usize,
+    /// Membership per PE, mirroring the bitsets (a wakeup tests one
+    /// flag without looking up the PE's domain).
+    armed: Vec<bool>,
 }
 
 impl ReadySets {
     fn new(n: usize) -> ReadySets {
         let n_words = n.div_ceil(64);
         ReadySets {
-            words: core::array::from_fn(|_| vec![0u64; n_words]),
+            words: vec![0u64; 3 * n_words],
             n_words,
+            armed: vec![false; n],
         }
     }
 
     fn insert(&mut self, mode: VfMode, idx: usize) {
-        self.words[mode as usize][idx / 64] |= 1u64 << (idx % 64);
+        self.words[mode as usize * self.n_words + idx / 64] |= 1u64 << (idx % 64);
+        self.armed[idx] = true;
     }
 
-    /// Is `idx` currently armed in its domain? Armed PEs have no
-    /// unaccounted edges, so wakeups can skip them entirely — the hot
-    /// path on busy fabrics, where most neighbors are already armed.
-    fn contains(&self, mode: VfMode, idx: usize) -> bool {
-        self.words[mode as usize][idx / 64] & (1u64 << (idx % 64)) != 0
+    /// Is `idx` currently armed? Armed PEs have no unaccounted edges,
+    /// so wakeups can skip them entirely — the hot path on busy
+    /// fabrics, where most neighbors are already armed.
+    fn contains(&self, idx: usize) -> bool {
+        self.armed[idx]
     }
 
-    fn domain_empty(&self, mode: VfMode) -> bool {
-        self.words[mode as usize].iter().all(|&w| w == 0)
+    fn domain(&self, mode: VfMode) -> &[u64] {
+        let m = mode as usize;
+        &self.words[m * self.n_words..(m + 1) * self.n_words]
     }
 
-    /// Drain every armed PE whose domain rises at `t` into `out`, in
-    /// ascending (row-major) index order.
-    fn drain_rising(&mut self, clocks: &ClockSet, t: u64, out: &mut Vec<usize>) {
+    /// Drain every armed PE whose domain rises at the clock's tick
+    /// into `out`, in ascending (row-major) index order.
+    fn drain_rising(&mut self, clock: &SimClock, out: &mut Vec<usize>) {
         out.clear();
-        let rising: [bool; 3] = core::array::from_fn(|m| clocks.is_rising(VfMode::ALL[m], t));
+        let rising: [bool; 3] = core::array::from_fn(|m| clock.rising(m));
         for wi in 0..self.n_words {
             let mut merged = 0u64;
             for (m, &rises) in rising.iter().enumerate() {
                 if rises {
-                    merged |= self.words[m][wi];
-                    self.words[m][wi] = 0;
+                    merged |= std::mem::take(&mut self.words[m * self.n_words + wi]);
                 }
             }
             while merged != 0 {
-                out.push(wi * 64 + merged.trailing_zeros() as usize);
+                let idx = wi * 64 + merged.trailing_zeros() as usize;
+                self.armed[idx] = false;
+                out.push(idx);
                 merged &= merged - 1;
             }
         }
     }
 
-    /// The earliest rising edge strictly after `t` of any domain with
-    /// at least one armed PE (`None` when everything is disarmed).
-    fn next_event(&self, clocks: &ClockSet, t: u64) -> Option<u64> {
+    /// The earliest rising edge after the clock's tick of any domain
+    /// with at least one armed PE (`None` when everything is
+    /// disarmed).
+    fn next_event(&self, clock: &SimClock) -> Option<u64> {
         VfMode::ALL
             .into_iter()
-            .filter(|&m| !self.domain_empty(m))
-            .map(|m| clocks.next_rising(m, t))
+            .filter(|&m| self.domain(m).iter().any(|&w| w != 0))
+            .map(|m| clock.next_rising(m as usize))
             .min()
+    }
+}
+
+/// The simulated clock: the current PLL tick and, per domain, its
+/// latest rising edge and its rising-edge count through that tick,
+/// advanced by adding periods (each step moves a few periods at most).
+struct SimClock {
+    t: u64,
+    period: [u64; 3],
+    last: [u64; 3],
+    /// Rising edges in `[0, t]` per domain (the edge at 0 counts).
+    edges: [u64; 3],
+}
+
+impl SimClock {
+    fn new(clocks: &ClockSet) -> SimClock {
+        SimClock {
+            t: 0,
+            period: VfMode::ALL.map(|m| clocks.period(m)),
+            last: [0; 3],
+            edges: [1; 3],
+        }
+    }
+
+    fn advance(&mut self, t: u64) {
+        self.t = t;
+        for m in 0..3 {
+            while self.last[m] + self.period[m] <= t {
+                self.last[m] += self.period[m];
+                self.edges[m] += 1;
+            }
+        }
+    }
+
+    fn rising(&self, m: usize) -> bool {
+        self.last[m] == self.t
+    }
+
+    fn next_rising(&self, m: usize) -> u64 {
+        self.last[m] + self.period[m]
     }
 }
 
@@ -157,6 +215,9 @@ struct Counters {
     /// `buckets` slots per PE, at `idx * buckets ..`.
     queue_occupancy: Vec<u64>,
     buckets: usize,
+    /// Per input queue (`idx * 4 + dir`): `rising_edges[idx]` at the
+    /// queue's last occupancy flush.
+    occupancy_since: Vec<u64>,
     domain_gated_ticks: [u64; 3],
     marker_times: Vec<u64>,
     events: Vec<FireEvent>,
@@ -177,10 +238,26 @@ impl Counters {
             gated_ticks: vec![0; n],
             queue_occupancy: vec![0; n * occupancy_buckets],
             buckets: occupancy_buckets,
+            occupancy_since: vec![0; n * 4],
             domain_gated_ticks: [0; 3],
             marker_times: Vec::new(),
             events: Vec::new(),
         }
+    }
+
+    /// Credit queue `dir` of PE `idx`, at its current length, with the
+    /// PE's rising edges accounted since the last flush. Called before
+    /// each push or take (after the PE is caught up) and once at the
+    /// end, this sums to the dense stepper's per-edge samples.
+    fn flush_occupancy(&mut self, fab: &Fabric, idx: usize, dir: usize) {
+        let since = &mut self.occupancy_since[idx * 4 + dir];
+        let edges = self.rising_edges[idx];
+        if edges == *since {
+            return;
+        }
+        let len = fab.grid[idx].queues[dir].len().min(self.buckets - 1);
+        self.queue_occupancy[idx * self.buckets + len] += edges - *since;
+        *since = edges;
     }
 }
 
@@ -190,29 +267,22 @@ fn into_nested(flat: Vec<u64>, w: usize) -> Vec<Vec<u64>> {
     flat.chunks(w).map(<[u64]>::to_vec).collect()
 }
 
-/// Replay the rising edges PE `idx` skipped while disarmed, through
-/// PLL tick `through` inclusive. Must run *before* any queue visible
-/// to the PE mutates — the replayed occupancy samples read the current
-/// queue lengths, which are exactly the lengths at the PE's last
-/// evaluation as long as nothing changed since. A no-op on armed PEs
-/// (they have no unaccounted edges) and on gated PEs.
-fn catch_up(fab: &Fabric, sched: &mut [PeSched], c: &mut Counters, idx: usize, through: u64) {
-    let s = &mut sched[idx];
+/// Replay the rising edges PE `idx` skipped while disarmed, up to
+/// `edges[domain]` rising edges in all. Must run *before* any of the
+/// PE's queues changes length, so the occupancy flush credits the
+/// replayed edges to the lengths they saw. A no-op on armed PEs (they
+/// have no unaccounted edges) and on gated PEs.
+fn catch_up(sched: &[PeSched], c: &mut Counters, idx: usize, edges: &[u64; 3]) {
+    let s = &sched[idx];
     if s.gated {
         return;
     }
-    let target = fab.config.clocks.rising_edges_through(s.clk, through);
-    if target <= s.edges_seen {
+    let target = edges[s.clk as usize];
+    if target <= c.rising_edges[idx] {
         return;
     }
-    let k = target - s.edges_seen;
-    s.edges_seen = target;
-    let (x, y) = (idx % fab.width, idx / fab.width);
-    c.rising_edges[idx] += k;
-    let occ = &mut c.queue_occupancy[idx * c.buckets..(idx + 1) * c.buckets];
-    for q in &fab.grid[y][x].queues {
-        occ[q.len().min(c.buckets - 1)] += k;
-    }
+    let k = target - c.rising_edges[idx];
+    c.rising_edges[idx] = target;
     c.input_stalls[idx] += k * s.in_stalls;
     c.output_stalls[idx] += k * s.out_stalls;
     match s.class {
@@ -230,52 +300,51 @@ fn catch_up(fab: &Fabric, sched: &mut [PeSched], c: &mut Counters, idx: usize, t
     }
 }
 
-/// A pop freed a slot in queue `dir` of `pe`: the (unique) producer
-/// feeding that queue may unblock, so catch it up and re-arm it.
+/// A pop freed a slot in queue `dir` of PE `pe`: the (unique)
+/// producer feeding that queue may unblock, so catch it up and re-arm
+/// it.
 fn wake_producer(
     fab: &Fabric,
-    sched: &mut [PeSched],
+    sched: &[PeSched],
     c: &mut Counters,
     ready: &mut ReadySets,
-    pe: Coord,
+    pe: usize,
     dir: Dir,
-    t: u64,
+    clock: &SimClock,
 ) {
-    if let Some((px, py)) = fab.neighbor(pe, dir) {
-        let idx = py * fab.width + px;
-        if sched[idx].gated || ready.contains(sched[idx].clk, idx) {
+    if let Some(link) = fab.grid[pe].links[dir as usize] {
+        let idx = link.pe;
+        if sched[idx].gated || ready.contains(idx) {
             return;
         }
-        catch_up(fab, sched, c, idx, t);
+        catch_up(sched, c, idx, &clock.edges);
         ready.insert(sched[idx].clk, idx);
     }
 }
 
 /// `Fabric::deliver` with wakeup hooks: each receiving PE is caught up
-/// *before* its queue grows, then re-armed.
+/// and its queue's occupancy flushed *before* the queue grows, then
+/// the PE is re-armed.
 #[allow(clippy::too_many_arguments)] // mirrors the dense phase-2 call site
 fn deliver_and_wake(
     fab: &mut Fabric,
-    sched: &mut [PeSched],
+    sched: &[PeSched],
     c: &mut Counters,
     ready: &mut ReadySets,
-    pe: Coord,
-    mask: [bool; 4],
+    pe: usize,
+    out: u8,
     value: u32,
-    t: u64,
+    clock: &SimClock,
 ) {
-    for (i, &dir) in Dir::ALL.iter().enumerate() {
-        if !mask[i] {
-            continue;
-        }
-        if let Some((nx, ny)) = fab.neighbor(pe, dir) {
-            let idx = ny * fab.width + nx;
-            let wake = !sched[idx].gated && !ready.contains(sched[idx].clk, idx);
+    for d in DirBits(out) {
+        if let Some(link) = fab.grid[pe].links[d] {
+            let idx = link.pe;
+            let wake = !sched[idx].gated && !ready.contains(idx);
             if wake {
-                catch_up(fab, sched, c, idx, t);
+                catch_up(sched, c, idx, &clock.edges);
             }
-            let back = Dir::between((nx, ny), pe);
-            fab.push_checked((nx, ny), back, value, t);
+            c.flush_occupancy(fab, idx, link.back as usize);
+            fab.push_checked(link, value, clock.t);
             if wake {
                 ready.insert(sched[idx].clk, idx);
             }
@@ -286,8 +355,8 @@ fn deliver_and_wake(
 /// Under the traditional suppressor a held token's visibility flips
 /// with the safe-edge LUT phase, so any PE with a token in a *used*
 /// input queue has a time-varying outcome and must stay armed.
-fn has_pending_input(fab: &Fabric, (x, y): Coord) -> bool {
-    let state = &fab.grid[y][x];
+fn has_pending_input(fab: &Fabric, idx: usize) -> bool {
+    let state = &fab.grid[idx];
     (0..4).any(|d| state.queue_users[d].iter().any(|&u| u) && !state.queues[d].is_empty())
 }
 
@@ -309,15 +378,15 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
     // bit-identical contract (re-evaluating an unchanged PE reproduces
     // exactly the counters a replay would).
     let always_armed = !fab.faults.is_empty();
+    let marker = fab.config.marker.map(|(x, y)| y * w + x);
 
     let mut c = Counters::new(n, buckets);
     let mut sched: Vec<PeSched> = (0..n)
         .map(|idx| {
-            let cfg = &fab.grid[idx / w][idx % w].config;
+            let cfg = &fab.grid[idx].config;
             PeSched {
                 clk: cfg.clk,
                 gated: cfg.role == PeRole::Gated,
-                edges_seen: 0,
                 // Placeholder: every non-gated PE is evaluated at t=0
                 // (all domains rise there) before any replay happens.
                 class: EdgeClass::Gated,
@@ -339,32 +408,27 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
                 ready.insert(s.clk, idx);
             }
         }
-        let mut t = 0u64;
+        let mut clock = SimClock::new(&clocks);
         let mut last_act = 0u64;
         let mut evaluated: Vec<usize> = Vec::new();
         // Scratch buffers reused across ticks (the dense stepper's
         // per-tick allocations are a measurable cost at this rate).
         let mut plans: Vec<Plan> = Vec::new();
-        let mut pushes: Vec<(Coord, [bool; 4], u32)> = Vec::new();
-        let mut reg_writes: Vec<(Coord, u32)> = Vec::new();
-        let mut stores: Vec<(Coord, u32, u32)> = Vec::new();
+        let mut pushes: Vec<(usize, u8, u32)> = Vec::new();
+        let mut reg_writes: Vec<(usize, u32)> = Vec::new();
+        let mut stores: Vec<(usize, u32, u32)> = Vec::new();
         loop {
+            let t = clock.t;
             // Phase 1: evaluate armed PEs of the domains rising at `t`,
             // in row-major order (matching the dense sweep; skipped PEs
             // provably contribute no plans).
             plans.clear();
-            ready.drain_rising(&clocks, t, &mut evaluated);
+            ready.drain_rising(&clock, &mut evaluated);
             for &idx in &evaluated {
-                let (x, y) = (idx % w, idx / w);
                 c.rising_edges[idx] += 1;
-                sched[idx].edges_seen += 1;
-                let occ = &mut c.queue_occupancy[idx * buckets..(idx + 1) * buckets];
-                for q in &fab.grid[y][x].queues {
-                    occ[q.len().min(buckets - 1)] += 1;
-                }
                 let planned_before = plans.len();
                 let mut tally = EdgeTally::default();
-                fab.decide((x, y), t, &mut plans, &mut tally);
+                fab.decide(idx, t, &mut plans, &mut tally);
                 c.input_stalls[idx] += tally.input_stalls;
                 c.output_stalls[idx] += tally.output_stalls;
                 let fired = plans.len() > planned_before;
@@ -395,7 +459,7 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
                 if always_armed
                     || fired
                     || tally.suppressed
-                    || (traditional && has_pending_input(&fab, (x, y)))
+                    || (traditional && has_pending_input(&fab, idx))
                 {
                     ready.insert(sched[idx].clk, idx);
                 }
@@ -418,18 +482,20 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
                         consume_reg,
                         ..
                     } => {
-                        for &d in pops {
+                        for &d in pops.iter().flatten() {
+                            c.flush_occupancy(&fab, *pe, d as usize);
                             if fab.take_checked(*pe, d, 0, t) {
-                                wake_producer(&fab, &mut sched, &mut c, &mut ready, *pe, d, t);
+                                wake_producer(&fab, &sched, &mut c, &mut ready, *pe, d, &clock);
                             }
                         }
                         if *consume_reg {
-                            fab.grid[pe.1][pe.0].reg = None;
+                            fab.grid[*pe].reg = None;
                         }
                     }
                     Plan::Bypass { pe, src, slot, .. } => {
+                        c.flush_occupancy(&fab, *pe, *src as usize);
                         if fab.take_checked(*pe, *src, slot + 1, t) {
-                            wake_producer(&fab, &mut sched, &mut c, &mut ready, *pe, *src, t);
+                            wake_producer(&fab, &sched, &mut c, &mut ready, *pe, *src, &clock);
                         }
                     }
                 }
@@ -446,20 +512,19 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
                         init_value,
                         ..
                     } => {
-                        let (x, y) = pe;
-                        c.fires[y * w + x] += 1;
+                        c.fires[pe] += 1;
                         if fab.config.record_events {
                             c.events.push(FireEvent {
                                 tick: t,
-                                pe,
+                                pe: fab.grid[pe].pos,
                                 is_fire: true,
                             });
                         }
-                        if fab.config.marker == Some(pe) {
+                        if marker == Some(pe) {
                             c.marker_times.push(t);
                         }
                         if is_init {
-                            fab.grid[y][x].init_pending = false;
+                            fab.grid[pe].init_pending = false;
                         }
                         let value = if is_init {
                             init_value
@@ -473,42 +538,33 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
                                 _ => op.eval(operands[0], operands[1]),
                             }
                         };
-                        let cfg = fab.grid[y][x].config;
-                        let mask = if out_port == 0 {
-                            cfg.alu_true_mask
-                        } else {
-                            cfg.alu_false_mask
-                        };
-                        pushes.push((pe, mask, value));
-                        if cfg.reg_write && out_port == 0 {
+                        let state = &fab.grid[pe];
+                        pushes.push((pe, state.outputs[out_port as usize], value));
+                        if state.config.reg_write && out_port == 0 {
                             reg_writes.push((pe, value));
                         }
                     }
                     Plan::Bypass {
-                        pe,
-                        dst_mask,
-                        value,
-                        ..
+                        pe, slot, value, ..
                     } => {
-                        let (x, y) = pe;
-                        c.bypass_tokens[y * w + x] += 1;
+                        c.bypass_tokens[pe] += 1;
                         if fab.config.record_events {
                             c.events.push(FireEvent {
                                 tick: t,
-                                pe,
+                                pe: fab.grid[pe].pos,
                                 is_fire: false,
                             });
                         }
-                        pushes.push((pe, dst_mask, value));
+                        pushes.push((pe, fab.grid[pe].outputs[2 + slot], value));
                     }
                 }
             }
 
             for (pe, value) in reg_writes.drain(..) {
-                fab.grid[pe.1][pe.0].reg = Some(Token { value, written: t });
+                fab.grid[pe].reg = Some(Token { value, written: t });
             }
-            for (pe, mask, value) in pushes.drain(..) {
-                deliver_and_wake(&mut fab, &mut sched, &mut c, &mut ready, pe, mask, value, t);
+            for (pe, out, value) in pushes.drain(..) {
+                deliver_and_wake(&mut fab, &sched, &mut c, &mut ready, pe, out, value, &clock);
             }
             for (pe, addr, value) in stores.drain(..) {
                 fab.store_checked(pe, addr, value, t);
@@ -520,8 +576,8 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
             if acted {
                 last_act = t;
             }
-            if let (Some(max), Some((mx, my))) = (fab.config.max_marker_fires, fab.config.marker) {
-                if c.fires[my * w + mx] >= max {
+            if let (Some(max), Some(m)) = (fab.config.max_marker_fires, marker) {
+                if c.fires[m] >= max {
                     break (FabricStop::MarkerDone, Some(t), t + 1);
                 }
             }
@@ -536,7 +592,7 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
             // rises), so nothing is skipped — the skipped edges of
             // disarmed PEs are replayed by `catch_up` at the end.
             let t_quiesce = last_act + quiesce_window;
-            let t_event = ready.next_event(&clocks, t);
+            let t_event = ready.next_event(&clock);
             let next = t_event.map_or(t_quiesce, |e| e.min(t_quiesce));
             if next >= fab.config.max_ticks {
                 break (
@@ -548,28 +604,28 @@ pub(crate) fn run_event(mut fab: Fabric) -> Activity {
             if t_event.is_none_or(|e| t_quiesce < e) {
                 break (FabricStop::Quiesced, Some(t_quiesce), t_quiesce);
             }
-            t = next;
+            clock.advance(next);
         }
     };
 
     let mut domain_edges = [0u64; 3];
     let mut domain_edges_hyper = [0u64; 3];
     if let Some(end) = end {
-        for idx in 0..n {
-            catch_up(&fab, &mut sched, &mut c, idx, end);
-        }
         for m in VfMode::ALL {
             domain_edges[m as usize] = clocks.rising_edges_through(m, end);
             domain_edges_hyper[m as usize] = clocks.rising_edges_through(m, end.min(hyper - 1));
         }
-    }
-
-    let mut sram_accesses = vec![vec![0u64; w]; h];
-    for (y, row) in sram_accesses.iter_mut().enumerate() {
-        for (x, cell) in row.iter_mut().enumerate() {
-            *cell = fab.scratch.accesses((x, y));
+        for idx in 0..n {
+            catch_up(&sched, &mut c, idx, &domain_edges);
         }
     }
+    for idx in 0..n {
+        for dir in 0..4 {
+            c.flush_occupancy(&fab, idx, dir);
+        }
+    }
+
+    let sram_accesses = into_nested((0..n).map(|idx| fab.scratch.accesses(idx)).collect(), w);
     let mem_len = fab.scratch.len();
     let protocol = fab.protocol_report(ticks);
     let queue_occupancy = c
@@ -616,14 +672,39 @@ mod tests {
         r.insert(VfMode::Rest, 64);
         let mut out = Vec::new();
         // t=0: every domain rises.
-        r.drain_rising(&clocks, 0, &mut out);
+        let mut clock = SimClock::new(&clocks);
+        r.drain_rising(&clock, &mut out);
         assert_eq!(out, vec![3, 64, 129]);
-        assert!(r.next_event(&clocks, 0).is_none());
+        assert!(r.next_event(&clock).is_none());
         // t=2: only sprint rises; nominal member stays armed.
         r.insert(VfMode::Sprint, 7);
         r.insert(VfMode::Nominal, 1);
-        r.drain_rising(&clocks, 2, &mut out);
+        clock.advance(2);
+        r.drain_rising(&clock, &mut out);
         assert_eq!(out, vec![7]);
-        assert_eq!(r.next_event(&clocks, 2), Some(3));
+        assert_eq!(r.next_event(&clock), Some(3));
+    }
+
+    #[test]
+    fn sim_clock_matches_the_clock_set() {
+        let clocks = ClockSet::new([9, 4, 3]).expect("valid divisors");
+        let mut clock = SimClock::new(&clocks);
+        for t in [0, 1, 2, 3, 8, 9, 10, 35, 36, 100] {
+            clock.advance(t);
+            for m in VfMode::ALL {
+                let i = m as usize;
+                assert_eq!(clock.rising(i), clocks.is_rising(m, t), "{m:?} at {t}");
+                assert_eq!(
+                    clock.next_rising(i),
+                    clocks.next_rising(m, t),
+                    "{m:?} at {t}"
+                );
+                assert_eq!(
+                    clock.edges[i],
+                    clocks.rising_edges_through(m, t),
+                    "{m:?} at {t}"
+                );
+            }
+        }
     }
 }

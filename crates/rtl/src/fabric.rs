@@ -201,9 +201,24 @@ impl Activity {
     }
 }
 
+/// One entry of a PE's link table: the neighbour that an output
+/// direction drives, and the neighbour's input queue facing back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    /// Row-major index of the neighbour PE.
+    pub(crate) pe: usize,
+    /// The neighbour's input queue that receives this PE's tokens.
+    pub(crate) back: Dir,
+}
+
 #[derive(Debug)]
 pub(crate) struct PeState {
+    /// This PE's coordinate (for the checker, the fault hooks and
+    /// events, which name PEs by coordinate).
+    pub(crate) pos: Coord,
     pub(crate) config: PeConfig,
+    /// Clock period of `config.clk` in PLL ticks.
+    pub(crate) period: u64,
     pub(crate) queues: [BisyncQueue; 4],
     /// Which local users (0 = compute, 1/2 = bypass slots) consume each
     /// direction's queue, derived from the configuration. The front
@@ -212,6 +227,12 @@ pub(crate) struct PeState {
     /// Clock domain of the neighbor driving each queue (for the
     /// traditional suppressor's safe-edge lookup).
     pub(crate) queue_src_mode: [Option<VfMode>; 4],
+    /// The link table: the neighbour in each direction, `None` off
+    /// the array edge.
+    pub(crate) links: [Option<Link>; 4],
+    /// The directions each output drives, as bitmasks over `Dir`: ALU
+    /// true port, ALU false port, bypass slots 0 and 1.
+    pub(crate) outputs: [u8; 4],
     pub(crate) reg: Option<Token>,
     pub(crate) init_pending: bool,
 }
@@ -231,11 +252,29 @@ fn queue_users(cfg: &PeConfig) -> [[bool; 3]; 4] {
     users
 }
 
+/// Iterates the directions (as `Dir` indices) set in a bitmask.
+pub(crate) struct DirBits(pub(crate) u8);
+
+impl Iterator for DirBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let d = self.0.trailing_zeros() as usize;
+        self.0 &= self.0.wrapping_sub(1);
+        (d < 8).then_some(d)
+    }
+}
+
+/// The input queues one compute firing pops, one slot per operand
+/// port (taken in port order), so a plan never allocates.
+pub(crate) type Pops = [Option<Dir>; 2];
+
+/// One planned action, naming its PE by row-major index.
 #[derive(Debug, Clone)]
 pub(crate) enum Plan {
     Compute {
-        pe: Coord,
-        pops: Vec<Dir>,
+        pe: usize,
+        pops: Pops,
         consume_reg: bool,
         operands: [u32; 2],
         op: Op,
@@ -244,10 +283,9 @@ pub(crate) enum Plan {
         init_value: u32,
     },
     Bypass {
-        pe: Coord,
+        pe: usize,
         src: Dir,
         slot: usize,
-        dst_mask: [bool; 4],
         value: u32,
     },
 }
@@ -280,7 +318,8 @@ enum StallCause {
 pub struct Fabric {
     pub(crate) width: usize,
     pub(crate) height: usize,
-    pub(crate) grid: Vec<Vec<PeState>>,
+    /// Every PE's state, row-major (`y * width + x`).
+    pub(crate) grid: Vec<PeState>,
     pub(crate) scratch: Scratchpad,
     pub(crate) config: FabricConfig,
     pub(crate) checker: ClockChecker,
@@ -293,70 +332,80 @@ impl Fabric {
     pub fn new(bitstream: &Bitstream, mem: Vec<u32>, config: FabricConfig) -> Fabric {
         let height = bitstream.grid.len();
         let width = bitstream.grid.first().map_or(0, |r| r.len());
-        let grid = bitstream
-            .grid
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|cfg| PeState {
-                        config: *cfg,
-                        queues: core::array::from_fn(|_| BisyncQueue::new(config.queue_capacity)),
-                        queue_users: queue_users(cfg),
-                        queue_src_mode: [None; 4],
-                        reg: None,
-                        init_pending: cfg.init.is_some(),
-                    })
-                    .collect()
+        let cfg_at = |(x, y): Coord| &bitstream.grid[y][x];
+        let link = |(x, y): Coord, dir: Dir| -> Option<Link> {
+            let (nx, ny) = match dir {
+                Dir::North if y > 0 => (x, y - 1),
+                Dir::South if y + 1 < height => (x, y + 1),
+                Dir::West if x > 0 => (x - 1, y),
+                Dir::East if x + 1 < width => (x + 1, y),
+                _ => return None,
+            };
+            Some(Link {
+                pe: ny * width + nx,
+                back: Dir::between((nx, ny), (x, y)),
+            })
+        };
+        let bits = |mask: [bool; 4]| (0..4).fold(0u8, |b, d| b | u8::from(mask[d]) << d);
+        let grid = (0..width * height)
+            .map(|idx| {
+                let pos = (idx % width, idx / width);
+                let cfg = cfg_at(pos);
+                let links = Dir::ALL.map(|dir| link(pos, dir));
+                let bypass = cfg.bypass.map(|b| b.map_or(0, |b| bits(b.dst_mask)));
+                // Each queue's source clock domain (the neighbour that
+                // drives it), for the traditional suppressor's LUT.
+                let queue_src_mode = links.map(|l| {
+                    let n = cfg_at((l?.pe % width, l?.pe / width));
+                    (n.role != PeRole::Gated).then_some(n.clk)
+                });
+                PeState {
+                    pos,
+                    config: *cfg,
+                    period: config.clocks.period(cfg.clk),
+                    queues: core::array::from_fn(|_| BisyncQueue::new(config.queue_capacity)),
+                    queue_users: queue_users(cfg),
+                    queue_src_mode,
+                    links,
+                    outputs: [
+                        bits(cfg.alu_true_mask),
+                        bits(cfg.alu_false_mask),
+                        bypass[0],
+                        bypass[1],
+                    ],
+                    reg: None,
+                    init_pending: cfg.init.is_some(),
+                }
             })
             .collect();
-        let checker = ClockChecker::new(&config.clocks);
-        let protocol = ProtocolChecker::new(width, height);
-        let faults = FaultState::new(config.faults.clone());
-        let mut fabric = Fabric {
+        Fabric {
             width,
             height,
             grid,
-            scratch: Scratchpad::new(mem),
+            scratch: Scratchpad::new(mem, width * height),
+            checker: ClockChecker::new(&config.clocks),
+            protocol: ProtocolChecker::new(width, height),
+            faults: FaultState::new(config.faults.clone()),
             config,
-            checker,
-            protocol,
-            faults,
-        };
-        // Record each queue's source clock domain (the neighbor that
-        // drives it), for the traditional suppressor's LUT.
-        for y in 0..height {
-            for x in 0..width {
-                for dir in Dir::ALL {
-                    if let Some((nx, ny)) = fabric.neighbor((x, y), dir) {
-                        let ncfg = &fabric.grid[ny][nx].config;
-                        if ncfg.role != PeRole::Gated {
-                            fabric.grid[y][x].queue_src_mode[dir as usize] = Some(ncfg.clk);
-                        }
-                    }
-                }
-            }
         }
-        fabric
     }
 
-    /// Front-token visibility for `user` of queue `dir` of PE `pe`
+    /// Front-token visibility for `user` of queue `dir` of PE `idx`
     /// at tick `t`, under the configured suppressor.
-    fn queue_visible(&self, pe: Coord, dir: Dir, user: usize, t: u64) -> Option<u32> {
+    fn queue_visible(&self, idx: usize, dir: Dir, user: usize, t: u64) -> Option<u32> {
+        let state = &self.grid[idx];
         // An injected stuck-at-low valid hides the front token; the
         // elastic protocol absorbs the delay (classified suppressed).
-        if self.faults.valid_stuck(pe, dir, t) {
+        if self.faults.valid_stuck(state.pos, dir, t) {
             return None;
         }
-        let state = &self.grid[pe.1][pe.0];
-        let dst_mode = state.config.clk;
-        let period = self.config.clocks.period(dst_mode);
         match self.config.suppressor {
             SuppressorKind::ElasticityAware => {
-                state.queues[dir as usize].front_visible_for(t, period, user)
+                state.queues[dir as usize].front_visible_for(t, state.period, user)
             }
             SuppressorKind::Traditional => {
                 let src_mode = state.queue_src_mode[dir as usize]?;
-                let lut = self.checker.lut(src_mode, dst_mode);
+                let lut = self.checker.lut(src_mode, state.config.clk);
                 if lut.is_unsafe_at(t) {
                     return None;
                 }
@@ -366,92 +415,73 @@ impl Fabric {
         }
     }
 
-    pub(crate) fn neighbor(&self, (x, y): Coord, dir: Dir) -> Option<Coord> {
-        match dir {
-            Dir::North if y > 0 => Some((x, y - 1)),
-            Dir::South if y + 1 < self.height => Some((x, y + 1)),
-            Dir::West if x > 0 => Some((x - 1, y)),
-            Dir::East if x + 1 < self.width => Some((x + 1, y)),
-            _ => None,
-        }
-    }
-
-    /// Can `value` be delivered to every direction in `mask` (all
-    /// target queues have space and report ready at tick `t`)?
-    /// Directions off the array edge are dropped silently (they can
-    /// only arise from malformed configs).
-    pub(crate) fn mask_ready(&self, pe: Coord, mask: &[bool; 4], t: u64) -> bool {
-        Dir::ALL.iter().enumerate().all(|(i, &dir)| {
-            if !mask[i] {
-                return true;
+    /// Can `value` be delivered to every direction in output bitmask
+    /// `out` (all target queues have space and report ready at tick
+    /// `t`)? Directions off the array edge are dropped silently (they
+    /// can only arise from malformed configs).
+    pub(crate) fn mask_ready(&self, idx: usize, out: u8, t: u64) -> bool {
+        let links = &self.grid[idx].links;
+        DirBits(out).all(|d| match links[d] {
+            Some(l) => {
+                let n = &self.grid[l.pe];
+                n.queues[l.back as usize].can_push() && !self.faults.ready_stuck(n.pos, l.back, t)
             }
-            match self.neighbor(pe, dir) {
-                Some((nx, ny)) => {
-                    // Tokens arrive in the neighbor's queue facing back
-                    // toward this PE.
-                    let back = Dir::between((nx, ny), pe);
-                    self.grid[ny][nx].queues[back as usize].can_push()
-                        && !self.faults.ready_stuck((nx, ny), back, t)
-                }
-                None => true,
-            }
+            None => true,
         })
     }
 
-    fn deliver(&mut self, pe: Coord, mask: [bool; 4], value: u32, t: u64) {
-        for (i, &dir) in Dir::ALL.iter().enumerate() {
-            if !mask[i] {
-                continue;
-            }
-            if let Some((nx, ny)) = self.neighbor(pe, dir) {
-                let back = Dir::between((nx, ny), pe);
-                self.push_checked((nx, ny), back, value, t);
+    fn deliver(&mut self, idx: usize, out: u8, value: u32, t: u64) {
+        for d in DirBits(out) {
+            if let Some(l) = self.grid[idx].links[d] {
+                self.push_checked(l, value, t);
             }
         }
     }
 
-    /// Deliver one token into queue `back` of `dst`, routed through
-    /// the fault injector and accounted by the protocol checker on
-    /// both sides. Returns `true` when the queue actually grew (the
-    /// event engine's wake edge). A push without credit — possible
-    /// only with a malformed bitstream (conflicting drivers) or a
-    /// duplication fault — becomes a fatal `Overflow` violation
-    /// instead of a panic.
-    pub(crate) fn push_checked(&mut self, dst: Coord, back: Dir, value: u32, t: u64) -> bool {
-        self.protocol.offer(dst, back, value);
-        let inj = self.faults.inject(dst, back, value);
+    /// Deliver one token over link `to` (into the neighbour's queue
+    /// facing back), routed through the fault injector and accounted
+    /// by the protocol checker on both sides. Returns `true` when the
+    /// queue actually grew (the event engine's wake edge). A push
+    /// without credit — possible only with a malformed bitstream
+    /// (conflicting drivers) or a duplication fault — becomes a fatal
+    /// `Overflow` violation instead of a panic.
+    pub(crate) fn push_checked(&mut self, to: Link, value: u32, t: u64) -> bool {
+        let dst = &mut self.grid[to.pe];
+        let (pos, back) = (dst.pos, to.back);
+        self.protocol.offer(pos, back, value);
+        let inj = self.faults.inject(pos, back, value);
         let mut grew = false;
         for _ in 0..inj.copies {
-            self.protocol.receive(dst, back, inj.value);
-            if self.grid[dst.1][dst.0].queues[back as usize].try_push(inj.value, t) {
+            self.protocol.receive(pos, back, inj.value);
+            if dst.queues[back as usize].try_push(inj.value, t) {
                 grew = true;
             } else {
                 self.protocol
-                    .fatal(dst, Some(back), t, ViolationKind::Overflow);
+                    .fatal(pos, Some(back), t, ViolationKind::Overflow);
             }
         }
         grew
     }
 
-    /// Phase-2 consumption of the front token of queue `dir` of `pe`
-    /// by local `user`, with suppressor-safety checking and pop
+    /// Phase-2 consumption of the front token of queue `dir` of PE
+    /// `idx` by local `user`, with suppressor-safety checking and pop
     /// accounting. Mis-scheduled takes (empty queue, double take)
     /// become fatal protocol violations instead of panics. Returns
     /// `true` when the take popped the token (the event engine's
     /// producer-wake edge).
-    pub(crate) fn take_checked(&mut self, pe: Coord, dir: Dir, user: usize, t: u64) -> bool {
-        let (x, y) = pe;
-        let front = self.grid[y][x].queues[dir as usize].front();
-        if let Some(tok) = front {
+    pub(crate) fn take_checked(&mut self, idx: usize, dir: Dir, user: usize, t: u64) -> bool {
+        let state = &mut self.grid[idx];
+        let pe = state.pos;
+        if let Some(tok) = state.queues[dir as usize].front() {
             // Suppressor safety: no capture of a token younger than
             // one receiver period (elasticity-aware), or on an unsafe
             // edge / younger than one tick (traditional).
-            let dst_mode = self.grid[y][x].config.clk;
-            let period = self.config.clocks.period(dst_mode);
+            let period = state.period;
             let safe = match self.config.suppressor {
                 SuppressorKind::ElasticityAware => t >= tok.written + period,
                 SuppressorKind::Traditional => {
-                    let src = self.grid[y][x].queue_src_mode[dir as usize];
+                    let src = state.queue_src_mode[dir as usize];
+                    let dst_mode = state.config.clk;
                     let on_safe_edge =
                         src.is_none_or(|s| !self.checker.lut(s, dst_mode).is_unsafe_at(t));
                     on_safe_edge && t > tok.written
@@ -469,8 +499,8 @@ impl Fabric {
                 );
             }
         }
-        let required = self.grid[y][x].queue_users[dir as usize];
-        match self.grid[y][x].queues[dir as usize].try_take(user, required) {
+        let required = state.queue_users[dir as usize];
+        match state.queues[dir as usize].try_take(user, required) {
             Ok(popped) => {
                 if popped {
                     self.protocol.consume(pe, dir);
@@ -487,10 +517,11 @@ impl Fabric {
     /// Checked scratchpad load: an out-of-bounds address (reachable
     /// under payload-flip faults) becomes a fatal violation and reads
     /// zero instead of aborting.
-    pub(crate) fn load_checked(&mut self, pe: Coord, addr: u32, t: u64) -> u32 {
-        match self.scratch.try_read(pe, addr) {
+    pub(crate) fn load_checked(&mut self, idx: usize, addr: u32, t: u64) -> u32 {
+        match self.scratch.try_read(idx, addr) {
             Some(v) => v,
             None => {
+                let pe = self.grid[idx].pos;
                 self.protocol
                     .fatal(pe, None, t, ViolationKind::MemoryOutOfBounds { addr });
                 0
@@ -499,8 +530,9 @@ impl Fabric {
     }
 
     /// Checked scratchpad store (see [`Fabric::load_checked`]).
-    pub(crate) fn store_checked(&mut self, pe: Coord, addr: u32, value: u32, t: u64) {
-        if !self.scratch.try_write(pe, addr, value) {
+    pub(crate) fn store_checked(&mut self, idx: usize, addr: u32, value: u32, t: u64) {
+        if !self.scratch.try_write(idx, addr, value) {
+            let pe = self.grid[idx].pos;
             self.protocol
                 .fatal(pe, None, t, ViolationKind::MemoryOutOfBounds { addr });
         }
@@ -509,15 +541,10 @@ impl Fabric {
     /// Final occupancy of every input queue, indexed like the protocol
     /// checker's crossing stats (`(y * width + x) * 4 + dir`).
     fn crossing_resident(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.width * self.height * 4);
-        for row in &self.grid {
-            for pe in row {
-                for q in &pe.queues {
-                    out.push(q.len() as u64);
-                }
-            }
-        }
-        out
+        self.grid
+            .iter()
+            .flat_map(|pe| pe.queues.iter().map(|q| q.len() as u64))
+            .collect()
     }
 
     /// Run the checker's end-of-run conservation checks (shared by
@@ -579,19 +606,20 @@ impl Fabric {
             let mut plans: Vec<Plan> = Vec::new();
             for y in 0..h {
                 for x in 0..w {
-                    let clk = self.grid[y][x].config.clk;
-                    if self.grid[y][x].config.role == PeRole::Gated
+                    let idx = y * w + x;
+                    let clk = self.grid[idx].config.clk;
+                    if self.grid[idx].config.role == PeRole::Gated
                         || !self.config.clocks.is_rising(clk, t)
                     {
                         continue;
                     }
                     rising_edges[y][x] += 1;
-                    for q in &self.grid[y][x].queues {
+                    for q in &self.grid[idx].queues {
                         queue_occupancy[y][x][q.len().min(occupancy_buckets - 1)] += 1;
                     }
                     let planned_before = plans.len();
                     let mut tally = EdgeTally::default();
-                    self.decide((x, y), t, &mut plans, &mut tally);
+                    self.decide(idx, t, &mut plans, &mut tally);
                     input_stalls[y][x] += tally.input_stalls;
                     output_stalls[y][x] += tally.output_stalls;
                     if plans.len() > planned_before {
@@ -612,9 +640,9 @@ impl Fabric {
             // Phase 2: apply. Pops first, then computes (loads read
             // pre-store memory), register writes, pushes, stores.
             let mut acted = false;
-            let mut pushes: Vec<(Coord, [bool; 4], u32)> = Vec::new();
-            let mut reg_writes: Vec<(Coord, u32)> = Vec::new();
-            let mut stores: Vec<(Coord, u32, u32)> = Vec::new();
+            let mut pushes: Vec<(usize, u8, u32)> = Vec::new();
+            let mut reg_writes: Vec<(usize, u32)> = Vec::new();
+            let mut stores: Vec<(usize, u32, u32)> = Vec::new();
 
             for plan in &plans {
                 acted = true;
@@ -625,11 +653,11 @@ impl Fabric {
                         consume_reg,
                         ..
                     } => {
-                        for &d in pops {
-                            self.take_checked(*pe, d, 0, t);
+                        for d in pops.iter().flatten() {
+                            self.take_checked(*pe, *d, 0, t);
                         }
                         if *consume_reg {
-                            self.grid[pe.1][pe.0].reg = None;
+                            self.grid[*pe].reg = None;
                         }
                     }
                     Plan::Bypass { pe, src, slot, .. } => {
@@ -649,20 +677,20 @@ impl Fabric {
                         init_value,
                         ..
                     } => {
-                        let (x, y) = pe;
+                        let (x, y) = self.grid[pe].pos;
                         fires[y][x] += 1;
                         if self.config.record_events {
                             events.push(FireEvent {
                                 tick: t,
-                                pe,
+                                pe: (x, y),
                                 is_fire: true,
                             });
                         }
-                        if self.config.marker == Some(pe) {
+                        if self.config.marker == Some((x, y)) {
                             marker_times.push(t);
                         }
                         if is_init {
-                            self.grid[y][x].init_pending = false;
+                            self.grid[pe].init_pending = false;
                         }
                         let value = if is_init {
                             init_value
@@ -676,39 +704,31 @@ impl Fabric {
                                 _ => op.eval(operands[0], operands[1]),
                             }
                         };
-                        let cfg = self.grid[y][x].config;
-                        let mask = if out_port == 0 {
-                            cfg.alu_true_mask
-                        } else {
-                            cfg.alu_false_mask
-                        };
-                        pushes.push((pe, mask, value));
-                        if cfg.reg_write && out_port == 0 {
+                        let state = &self.grid[pe];
+                        pushes.push((pe, state.outputs[out_port as usize], value));
+                        if state.config.reg_write && out_port == 0 {
                             reg_writes.push((pe, value));
                         }
                     }
                     Plan::Bypass {
-                        pe,
-                        dst_mask,
-                        value,
-                        ..
+                        pe, slot, value, ..
                     } => {
-                        let (x, y) = pe;
+                        let (x, y) = self.grid[pe].pos;
                         bypass_tokens[y][x] += 1;
                         if self.config.record_events {
                             events.push(FireEvent {
                                 tick: t,
-                                pe,
+                                pe: (x, y),
                                 is_fire: false,
                             });
                         }
-                        pushes.push((pe, dst_mask, value));
+                        pushes.push((pe, self.grid[pe].outputs[2 + slot], value));
                     }
                 }
             }
 
             for (pe, value) in reg_writes {
-                self.grid[pe.1][pe.0].reg = Some(Token { value, written: t });
+                self.grid[pe].reg = Some(Token { value, written: t });
             }
             for (pe, mask, value) in pushes {
                 self.deliver(pe, mask, value, t);
@@ -743,7 +763,7 @@ impl Fabric {
         let mut sram_accesses = vec![vec![0u64; w]; h];
         for y in 0..h {
             for x in 0..w {
-                sram_accesses[y][x] = self.scratch.accesses((x, y));
+                sram_accesses[y][x] = self.scratch.accesses(y * w + x);
             }
         }
         let mem_len = self.scratch.len();
@@ -774,11 +794,10 @@ impl Fabric {
         }
     }
 
-    pub(crate) fn decide(&self, pe: Coord, t: u64, plans: &mut Vec<Plan>, tally: &mut EdgeTally) {
-        let (x, y) = pe;
-        let state = &self.grid[y][x];
-        let cfg = state.config;
-        let period = self.config.clocks.period(cfg.clk);
+    pub(crate) fn decide(&self, pe: usize, t: u64, plans: &mut Vec<Plan>, tally: &mut EdgeTally) {
+        let state = &self.grid[pe];
+        let cfg = &state.config;
+        let period = state.period;
 
         // An injected domain stall withholds this PE's clock: the edge
         // does nothing and classifies as gated (the clock never rose,
@@ -793,12 +812,11 @@ impl Fabric {
             let Some(slot) = slot else { continue };
             match self.queue_visible(pe, slot.src, i + 1, t) {
                 Some(value) => {
-                    if self.mask_ready(pe, &slot.dst_mask, t) {
+                    if self.mask_ready(pe, state.outputs[2 + i], t) {
                         plans.push(Plan::Bypass {
                             pe,
                             src: slot.src,
                             slot: i,
-                            dst_mask: slot.dst_mask,
                             value,
                         });
                     } else {
@@ -826,10 +844,10 @@ impl Fabric {
 
         // Phi bootstrap.
         if state.init_pending {
-            if self.mask_ready(pe, &cfg.alu_true_mask, t) {
+            if self.mask_ready(pe, state.outputs[0], t) {
                 plans.push(Plan::Compute {
                     pe,
-                    pops: Vec::new(),
+                    pops: [None; 2],
                     consume_reg: false,
                     operands: [0, 0],
                     op,
@@ -867,7 +885,7 @@ impl Fabric {
             }
         };
 
-        let mut pops = Vec::new();
+        let mut pops: Pops = [None; 2];
         let mut consume_reg = false;
         let mut operands = [0u32; 2];
 
@@ -881,9 +899,7 @@ impl Fabric {
                         if q.is_none() && !r && cfg.operands[port] != OperandSel::Const {
                             continue; // OperandSel::None
                         }
-                        if let Some(d) = q {
-                            pops.push(d);
-                        }
+                        pops[0] = q;
                         consume_reg = r;
                         operands[0] = v;
                         found = true;
@@ -902,13 +918,11 @@ impl Fabric {
             for (port, slot) in operands.iter_mut().enumerate().take(arity.min(2)) {
                 match read(cfg.operands[port]) {
                     Ok((q, r, v)) => {
-                        if let Some(d) = q {
-                            // One net may feed both operand ports (the
-                            // same direction): a single token serves
-                            // both, so consume it once.
-                            if !pops.contains(&d) {
-                                pops.push(d);
-                            }
+                        // One net may feed both operand ports (the same
+                        // direction): a single token serves both, so
+                        // consume it once.
+                        if q.is_some() && !pops.contains(&q) {
+                            pops[port] = q;
                         }
                         consume_reg |= r;
                         *slot = v;
@@ -932,12 +946,7 @@ impl Fabric {
         } else {
             0
         };
-        let mask = if out_port == 0 {
-            cfg.alu_true_mask
-        } else {
-            cfg.alu_false_mask
-        };
-        if !self.mask_ready(pe, &mask, t) {
+        if !self.mask_ready(pe, state.outputs[out_port as usize], t) {
             tally.output_stalls += 1;
             return;
         }
@@ -1017,24 +1026,37 @@ mod tests {
     fn neighbor_math_respects_edges() {
         let bs = tiny_bitstream();
         let f = Fabric::new(&bs, vec![], FabricConfig::default());
-        assert_eq!(f.neighbor((0, 0), Dir::West), None);
-        assert_eq!(f.neighbor((0, 0), Dir::North), None);
-        assert_eq!(f.neighbor((0, 0), Dir::East), Some((1, 0)));
-        assert_eq!(f.neighbor((2, 0), Dir::East), None);
+        let link = |idx: usize, dir: Dir| f.grid[idx].links[dir as usize];
+        assert_eq!(link(0, Dir::West), None);
+        assert_eq!(link(0, Dir::North), None);
+        assert_eq!(
+            link(0, Dir::East),
+            Some(Link {
+                pe: 1,
+                back: Dir::West
+            })
+        );
+        assert_eq!(link(2, Dir::East), None);
+        // The nop's west queue is fed by the adder (nominal clock).
+        assert_eq!(
+            f.grid[2].queue_src_mode[Dir::West as usize],
+            Some(VfMode::Nominal)
+        );
     }
 
     #[test]
     fn mask_ready_sees_full_queues() {
         let bs = tiny_bitstream();
         let mut f = Fabric::new(&bs, vec![], FabricConfig::default());
-        let east_only = [false, true, false, false];
-        assert!(f.mask_ready((0, 0), &east_only, 0));
+        let east_only = 1 << Dir::East as u8;
+        assert!(f.mask_ready(0, east_only, 0));
         // Fill (1,0)'s west queue.
-        f.grid[0][1].queues[Dir::West as usize].push(1, 0);
-        f.grid[0][1].queues[Dir::West as usize].push(2, 0);
-        assert!(!f.mask_ready((0, 0), &east_only, 0));
+        f.grid[1].queues[Dir::West as usize].push(1, 0);
+        f.grid[1].queues[Dir::West as usize].push(2, 0);
+        assert!(!f.mask_ready(0, east_only, 0));
         // Off-edge directions are always "ready" (dropped).
-        assert!(f.mask_ready((0, 0), &[true, false, false, false], 0));
+        assert!(f.mask_ready(0, 1 << Dir::North as u8, 0));
+        assert_eq!(f.grid[0].outputs, [east_only, 0, 0, 0]);
     }
 
     #[test]
@@ -1045,15 +1067,15 @@ mod tests {
         // firing, so it never stalls — force the situation by hand.
         let bs = tiny_bitstream();
         let mut f = Fabric::new(&bs, vec![], FabricConfig::default());
-        f.grid[0][0].init_pending = false;
-        f.grid[0][0].reg = Some(crate::queue::Token {
+        f.grid[0].init_pending = false;
+        f.grid[0].reg = Some(crate::queue::Token {
             value: 9,
             written: 0,
         });
         // At t=3 the phi can fire by consuming the reg (consume+write).
         let mut plans = Vec::new();
         let mut tally = EdgeTally::default();
-        f.decide((0, 0), 3, &mut plans, &mut tally);
+        f.decide(0, 3, &mut plans, &mut tally);
         assert_eq!(plans.len(), 1, "reg consume-and-write is legal");
         match &plans[0] {
             Plan::Compute { consume_reg, .. } => assert!(consume_reg),

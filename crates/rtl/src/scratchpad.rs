@@ -10,30 +10,31 @@
 //! because each PE accesses memory through its own port at most once
 //! per cycle.
 
-use std::collections::HashMap;
-
 /// Words per 4 kB subbank.
 pub const BANK_WORDS: usize = 1024;
 
 /// The unified scratchpad with per-bank access accounting.
+///
+/// Memory PEs are named by their row-major index in the fabric
+/// (`y * width + x`); the access counters are one flat array over
+/// every PE of the fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scratchpad {
     words: Vec<u32>,
-    reads: HashMap<(usize, usize), u64>,
-    writes: HashMap<(usize, usize), u64>,
+    /// Reads plus writes per PE.
+    accesses: Vec<u64>,
 }
 
 impl Scratchpad {
-    /// Create a scratchpad initialized with `image` (padded with
-    /// zeros to a whole number of banks).
-    pub fn new(image: Vec<u32>) -> Scratchpad {
+    /// Create a scratchpad for a fabric of `pes` PEs, initialized
+    /// with `image` (padded with zeros to a whole number of banks).
+    pub fn new(image: Vec<u32>, pes: usize) -> Scratchpad {
         let mut words = image;
         let pad = (BANK_WORDS - words.len() % BANK_WORDS) % BANK_WORDS;
         words.extend(std::iter::repeat_n(0, pad));
         Scratchpad {
             words,
-            reads: HashMap::new(),
-            writes: HashMap::new(),
+            accesses: vec![0; pes],
         }
     }
 
@@ -47,54 +48,31 @@ impl Scratchpad {
         self.words.is_empty()
     }
 
-    /// Read a word through the port of the memory PE at `pe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds address (a kernel bug worth failing
-    /// loudly on).
-    pub fn read(&mut self, pe: (usize, usize), addr: u32) -> u32 {
-        let a = addr as usize;
-        assert!(a < self.words.len(), "load from {a} out of bounds");
-        self.try_read(pe, addr).expect("bounds checked")
-    }
-
-    /// Read a word through the port of the memory PE at `pe`,
-    /// returning `None` (and accounting nothing) on an out-of-bounds
-    /// address — the engine-facing path: a fault-corrupted address
-    /// becomes a structured protocol violation, not a process abort.
-    pub fn try_read(&mut self, pe: (usize, usize), addr: u32) -> Option<u32> {
+    /// Read a word through the port of memory PE `pe`, returning
+    /// `None` (and accounting nothing) on an out-of-bounds address: a
+    /// fault-corrupted address becomes a structured protocol
+    /// violation, not a process abort.
+    pub fn try_read(&mut self, pe: usize, addr: u32) -> Option<u32> {
         let word = self.words.get(addr as usize).copied()?;
-        *self.reads.entry(pe).or_insert(0) += 1;
+        self.accesses[pe] += 1;
         Some(word)
     }
 
-    /// Write a word through the port of the memory PE at `pe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds address.
-    pub fn write(&mut self, pe: (usize, usize), addr: u32, value: u32) {
-        let a = addr as usize;
-        assert!(a < self.words.len(), "store to {a} out of bounds");
-        assert!(self.try_write(pe, addr, value), "bounds checked");
-    }
-
-    /// Write a word through the port of the memory PE at `pe`,
-    /// returning `false` (and writing nothing) on an out-of-bounds
-    /// address (see [`Scratchpad::try_read`]).
-    pub fn try_write(&mut self, pe: (usize, usize), addr: u32, value: u32) -> bool {
+    /// Write a word through the port of memory PE `pe`, returning
+    /// `false` (and writing nothing) on an out-of-bounds address (see
+    /// [`Scratchpad::try_read`]).
+    pub fn try_write(&mut self, pe: usize, addr: u32, value: u32) -> bool {
         let Some(slot) = self.words.get_mut(addr as usize) else {
             return false;
         };
         *slot = value;
-        *self.writes.entry(pe).or_insert(0) += 1;
+        self.accesses[pe] += 1;
         true
     }
 
-    /// Accesses (reads + writes) performed by the memory PE at `pe`.
-    pub fn accesses(&self, pe: (usize, usize)) -> u64 {
-        self.reads.get(&pe).copied().unwrap_or(0) + self.writes.get(&pe).copied().unwrap_or(0)
+    /// Accesses (reads + writes) performed by memory PE `pe`.
+    pub fn accesses(&self, pe: usize) -> u64 {
+        self.accesses[pe]
     }
 
     /// The final memory image, truncated to `n` words.
@@ -114,47 +92,40 @@ mod tests {
 
     #[test]
     fn pads_to_whole_banks() {
-        let s = Scratchpad::new(vec![1, 2, 3]);
+        let s = Scratchpad::new(vec![1, 2, 3], 1);
         assert_eq!(s.len(), BANK_WORDS);
         assert_eq!(s.bank_count(), 1);
-        let s2 = Scratchpad::new(vec![0; BANK_WORDS + 1]);
+        let s2 = Scratchpad::new(vec![0; BANK_WORDS + 1], 1);
         assert_eq!(s2.bank_count(), 2);
     }
 
     #[test]
     fn read_write_and_accounting() {
-        let mut s = Scratchpad::new(vec![10, 20, 30]);
-        assert_eq!(s.read((0, 0), 1), 20);
-        s.write((3, 7), 2, 99);
-        assert_eq!(s.read((3, 7), 2), 99);
-        assert_eq!(s.accesses((0, 0)), 1);
-        assert_eq!(s.accesses((3, 7)), 2);
-        assert_eq!(s.accesses((5, 5)), 0);
+        let mut s = Scratchpad::new(vec![10, 20, 30], 64);
+        assert_eq!(s.try_read(0, 1), Some(20));
+        assert!(s.try_write(59, 2, 99));
+        assert_eq!(s.try_read(59, 2), Some(99));
+        assert_eq!(s.accesses(0), 1);
+        assert_eq!(s.accesses(59), 2);
+        assert_eq!(s.accesses(45), 0);
     }
 
     #[test]
     fn image_returns_prefix() {
-        let mut s = Scratchpad::new(vec![1, 2, 3, 4]);
-        s.write((0, 0), 0, 9);
+        let mut s = Scratchpad::new(vec![1, 2, 3, 4], 1);
+        assert!(s.try_write(0, 0, 9));
         assert_eq!(s.image(4), vec![9, 2, 3, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn oob_read_panics() {
-        let mut s = Scratchpad::new(vec![0; 8]);
-        s.read((0, 0), BANK_WORDS as u32 + 5);
-    }
-
-    #[test]
     fn try_accessors_reject_oob_without_accounting() {
-        let mut s = Scratchpad::new(vec![1, 2, 3]);
-        assert_eq!(s.try_read((0, 0), BANK_WORDS as u32), None);
-        assert!(!s.try_write((0, 0), u32::MAX, 9));
-        assert_eq!(s.accesses((0, 0)), 0, "failed accesses are not billed");
-        assert_eq!(s.try_read((0, 0), 1), Some(2));
-        assert!(s.try_write((0, 0), 2, 9));
-        assert_eq!(s.accesses((0, 0)), 2);
+        let mut s = Scratchpad::new(vec![1, 2, 3], 1);
+        assert_eq!(s.try_read(0, BANK_WORDS as u32), None);
+        assert!(!s.try_write(0, u32::MAX, 9));
+        assert_eq!(s.accesses(0), 0, "failed accesses are not billed");
+        assert_eq!(s.try_read(0, 1), Some(2));
+        assert!(s.try_write(0, 2, 9));
+        assert_eq!(s.accesses(0), 2);
         assert_eq!(s.image(3), vec![1, 2, 9]);
     }
 }
