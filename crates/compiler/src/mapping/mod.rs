@@ -328,6 +328,29 @@ mod tests {
         ));
     }
 
+    /// The router's work counter at seed 7, pinned so a faster router
+    /// is seen doing the same negotiation, not less of it.
+    #[test]
+    fn router_rounds_are_pinned_at_seed_7() {
+        let rounds: Vec<(String, usize)> = kernels::all_kernels()
+            .iter()
+            .map(|k| {
+                let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
+                (k.name.to_string(), mapped.routing.rounds)
+            })
+            .collect();
+        let expected = [
+            ("llist", 1),
+            ("dither", 4),
+            ("susan", 4),
+            ("fft", 30),
+            ("bf", 11),
+        ];
+        let expected: Vec<(String, usize)> =
+            expected.iter().map(|&(k, r)| (k.to_string(), r)).collect();
+        assert_eq!(rounds, expected);
+    }
+
     #[test]
     fn mapping_is_deterministic_per_seed() {
         let k = kernels::llist::build_with_hops(10);
