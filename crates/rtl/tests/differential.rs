@@ -20,7 +20,7 @@ use common::{
 use uecgra_clock::VfMode;
 use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_dfg::kernels::{self, extra::extra_kernels, Kernel};
-use uecgra_rtl::fabric::{Fabric, SuppressorKind};
+use uecgra_rtl::fabric::{Fabric, FabricConfig, SuppressorKind};
 use uecgra_util::check::forall;
 
 /// The tentpole property: ≥200 seeded random 8×8 fabrics, dense vs
@@ -45,6 +45,22 @@ fn random_rectangular_fabrics_run_identically() {
         let mem: Vec<u32> = (0..MEM_WORDS).map(|_| rng.next_u32()).collect();
         let config = random_config(rng, w, h);
         assert_engines_agree(&bs, &mem, &config, "random rectangular fabric");
+    });
+}
+
+/// Long runs: the event engine leaves PEs disarmed across long idle
+/// stretches and wakes them only on the pushes and pops that can
+/// change their outcome, so the random fabrics run for 5,000–20,000
+/// ticks with no marker cap.
+#[test]
+fn long_random_fabrics_run_identically() {
+    forall(100, |rng| {
+        let bs = random_bitstream(rng, 8, 8);
+        let mem: Vec<u32> = (0..MEM_WORDS).map(|_| rng.next_u32()).collect();
+        let mut config = random_config(rng, 8, 8);
+        config.max_ticks = rng.range_u64(5_000, 20_001);
+        config.max_marker_fires = None;
+        assert_engines_agree(&bs, &mem, &config, "long random 8x8 fabric");
     });
 }
 
@@ -110,6 +126,36 @@ fn paper_kernels_run_identically_under_traditional_suppressor() {
     config.suppressor = SuppressorKind::Traditional;
     config.max_ticks = 100_000;
     assert_engines_agree(&bs, &k.mem, &config, "dither (traditional suppressor)");
+}
+
+/// The paper kernels at ten times the small scale (thousands of
+/// ticks each), under POpt DVFS with single- and triple-entry queues
+/// and both suppressors.
+#[test]
+fn long_paper_kernels_run_identically_across_queue_depths_and_suppressors() {
+    let ks = [
+        kernels::llist::build_with_hops(400),
+        kernels::dither::build_with_pixels(400),
+        kernels::susan::build_with_iters(400),
+        kernels::fft::build_with_group(400),
+        kernels::bf::build_with_rounds(160),
+    ];
+    for k in ks {
+        let pm = power_map(&k.dfg, k.mem.clone(), k.iter_marker, Objective::Performance);
+        let (bs, base) = compiled(&k, &pm.node_modes, 7);
+        for queue_capacity in [1, 3] {
+            for suppressor in [SuppressorKind::ElasticityAware, SuppressorKind::Traditional] {
+                let config = FabricConfig {
+                    queue_capacity,
+                    suppressor,
+                    max_ticks: 20_000,
+                    ..base.clone()
+                };
+                let label = format!("{} (POpt, depth {queue_capacity}, {suppressor:?})", k.name);
+                assert_engines_agree(&bs, &k.mem, &config, &label);
+            }
+        }
+    }
 }
 
 #[test]
