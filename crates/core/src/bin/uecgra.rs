@@ -18,7 +18,7 @@
 //! `compile` stops after the validated bitstream, `run` also executes
 //! it. Before `run`, `compile` or `dse` touch the loop, the reference
 //! interpreter checks that it stays inside `--mem-words` words of
-//! memory.
+//! memory (at most `cli::MAX_MEM_WORDS`, 2^24).
 //!
 //! `--json` writes a `uecgra-probe` [`RunReport`] (including
 //! wall-clock phase timings — the interactive CLI is the one place
