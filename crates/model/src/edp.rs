@@ -8,7 +8,7 @@
 
 use crate::params::ModelParams;
 use crate::power::PowerModel;
-use crate::sim::{DfgSimulator, SimConfig, SimResult};
+use crate::sim::{DfgSimulator, PortTables, SimConfig, SimResult};
 use uecgra_clock::VfMode;
 use uecgra_dfg::{Dfg, NodeId};
 
@@ -47,7 +47,8 @@ impl EnergyDelay {
 }
 
 /// Bound simulator + power model for evaluating power mappings of one
-/// DFG.
+/// DFG. The graph is validated and its port tables are built once, when
+/// the estimator is made, not on every measurement.
 ///
 /// # Examples
 ///
@@ -68,6 +69,7 @@ pub struct EnergyDelayEstimator<'a> {
     marker: NodeId,
     power: PowerModel,
     edge_extra_latency: Vec<u32>,
+    ports: PortTables,
 }
 
 impl<'a> EnergyDelayEstimator<'a> {
@@ -79,13 +81,19 @@ impl<'a> EnergyDelayEstimator<'a> {
 
     /// Create an estimator with the default parameter set and a
     /// [`WINDOW`](Self::WINDOW)-iteration measurement window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph fails validation.
     pub fn new(dfg: &'a Dfg, mem: Vec<u32>, marker: NodeId) -> Self {
+        dfg.validate().expect("simulated graphs must be valid");
         EnergyDelayEstimator {
             dfg,
             mem,
             marker,
             power: PowerModel::new(ModelParams::default()),
             edge_extra_latency: Vec::new(),
+            ports: PortTables::build(dfg),
         }
     }
 
@@ -114,7 +122,8 @@ impl<'a> EnergyDelayEstimator<'a> {
             edge_extra_latency: self.edge_extra_latency.clone(),
             ..SimConfig::default()
         };
-        DfgSimulator::new(self.dfg, modes.to_vec(), self.mem.clone(), config).run()
+        DfgSimulator::new_validated(self.dfg, modes.to_vec(), self.mem.clone(), config)
+            .run_on(&self.ports)
     }
 
     /// Measure throughput and energy of one power mapping — the
