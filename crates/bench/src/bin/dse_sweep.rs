@@ -18,7 +18,8 @@
 //!   `UECGRA_THREADS` and across cold/warm caches).
 //! * `--cache <path>` — persistent evaluation cache (loaded if
 //!   present, saved back after the sweep).
-//! * `--budget <N>` — unique-evaluation budget per kernel.
+//! * `--budget <N>` — unique-evaluation budget per kernel, at most
+//!   `uecgra_dse::MAX_BUDGET` (2^20).
 //!
 //! Every kernel's best assignment is also cross-checked on the fabric
 //! and its dense oracle against the host reference
@@ -28,7 +29,7 @@
 use uecgra_bench::{evaluation_kernels, header, usage_error, write_reports};
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_core::experiments::SEED;
-use uecgra_dse::{explore, rtl_crosscheck, DseConfig, EvalCache};
+use uecgra_dse::{explore, rtl_crosscheck, DseConfig, EvalCache, MAX_BUDGET};
 use uecgra_probe::RunReport;
 
 const USAGE: &str = "[--json <path>] [--cache <path>] [--budget N]";
@@ -56,8 +57,11 @@ fn flags() -> Flags {
             "--cache" => f.cache = Some(value()),
             "--budget" => {
                 f.budget = match value().parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => usage_error("--budget must be a positive integer", USAGE),
+                    Ok(n) if (1..=MAX_BUDGET).contains(&n) => n,
+                    _ => usage_error(
+                        &format!("--budget must be an integer from 1 to {MAX_BUDGET}"),
+                        USAGE,
+                    ),
                 }
             }
             other => usage_error(&format!("unknown argument {other:?}"), USAGE),

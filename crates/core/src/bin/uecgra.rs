@@ -31,9 +31,10 @@
 //! through the analytical model and prints the Pareto frontier over
 //! (delay, energy, EDP); `--cache` persists the memoized evaluation
 //! cache across invocations and `--json` writes a report
-//! with the `dse` section. Unlike `run`, a `dse` report carries **no
-//! timings**: its bytes are identical across thread counts and across
-//! cold vs warm caches.
+//! with the `dse` section. `--budget` is at most `cli::MAX_BUDGET`
+//! (2^20), which caps the exhaustive search at 3^12 assignments. Unlike
+//! `run`, a `dse` report carries **no timings**: its bytes are
+//! identical across thread counts and across cold vs warm caches.
 //!
 //! Pipeline failures print the full cause chain:
 //!

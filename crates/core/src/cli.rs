@@ -13,7 +13,12 @@
 //!   being the final token;
 //! * a `--mem-words` too large to allocate panicked (`capacity
 //!   overflow`) or was killed for memory — sizes above
-//!   [`MAX_MEM_WORDS`] are now a usage error.
+//!   [`MAX_MEM_WORDS`] are now a usage error;
+//! * a `--budget` of 3^29 or more on a loop with 29 power groups
+//!   aborted on a failed allocation (the exhaustive space is built in
+//!   memory) — budgets above [`MAX_BUDGET`] are now a usage error.
+
+pub use uecgra_dse::MAX_BUDGET;
 
 /// The largest `--mem-words`: 2^24 words (64 MiB). The reference
 /// interpreter, the analytical model and the fabric's scratchpad each
@@ -39,7 +44,8 @@ pub struct CliArgs {
     pub dump: Option<(usize, usize)>,
     /// Telemetry report output path.
     pub json: Option<String>,
-    /// DSE unique-evaluation budget (`dse` subcommand only).
+    /// DSE unique-evaluation budget (`dse` subcommand only; at most
+    /// [`MAX_BUDGET`]).
     pub budget: usize,
     /// DSE persistent evaluation-cache path (`dse` subcommand only).
     pub cache: Option<String>,
@@ -50,7 +56,7 @@ pub fn usage() -> String {
     format!(
         "usage: uecgra <run|compile|dse|check-report> <file> [--policy e|eopt|popt] \
          [--seed N] [--mem-words N (max {MAX_MEM_WORDS})] [--vcd out.vcd] [--dump-mem A..B] \
-         [--json report.json] [--budget N] [--cache cache.json]"
+         [--json report.json] [--budget N (max {MAX_BUDGET})] [--cache cache.json]"
     )
 }
 
@@ -61,8 +67,8 @@ pub fn usage() -> String {
 ///
 /// Returns a one-line usage/diagnostic string on a missing
 /// subcommand or file, an unknown flag, an unparsable value, a flag
-/// without its value, a duplicated flag, or a `--mem-words` above
-/// [`MAX_MEM_WORDS`].
+/// without its value, a duplicated flag, a `--mem-words` above
+/// [`MAX_MEM_WORDS`], or a `--budget` above [`MAX_BUDGET`].
 pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, String> {
     let mut argv = argv.into_iter();
     let _ = argv.next();
@@ -118,6 +124,13 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
                 args.budget = value()?.parse().map_err(|e| format!("--budget: {e}"))?;
                 if args.budget == 0 {
                     return Err("--budget must be at least 1".to_string());
+                }
+                if args.budget > MAX_BUDGET {
+                    return Err(format!(
+                        "--budget: {} is above the maximum of {MAX_BUDGET}\n{}",
+                        args.budget,
+                        usage()
+                    ));
                 }
             }
             "--cache" => args.cache = Some(value()?),
@@ -239,6 +252,21 @@ mod tests {
         }
         let a = parse(&["run", "k.loop", "--mem-words", "16777216"]).unwrap();
         assert_eq!(a.mem_words, MAX_MEM_WORDS);
+    }
+
+    #[test]
+    fn oversized_budget_is_a_usage_error() {
+        for budget in ["18446744073709551615", "68630377364883", "1048577"] {
+            let e = parse(&["dse", "k.loop", "--budget", budget]).unwrap_err();
+            assert!(
+                e.starts_with(&format!("--budget: {budget} is above the maximum")),
+                "{e}"
+            );
+            assert!(e.ends_with(&usage()), "{e}");
+        }
+        let a = parse(&["dse", "k.loop", "--budget", "1048576"]).unwrap();
+        assert_eq!(a.budget, MAX_BUDGET);
+        assert!(usage().contains("--budget N (max 1048576)"));
     }
 
     #[test]

@@ -46,13 +46,20 @@ use uecgra_util::SplitMix64;
 /// Hill-climb restarts (the exhaustive strategy has none).
 const RESTARTS: usize = 6;
 
+/// The largest evaluation budget the command lines accept: 2^20. The
+/// exhaustive strategy builds its whole space in memory, so this caps
+/// it at 3^12 = 531,441 assignments (12 searchable groups); larger
+/// spaces fall back to the hill-climb.
+pub const MAX_BUDGET: usize = 1 << 20;
+
 /// Explorer knobs. [`Default`] matches the CLI defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DseConfig {
     /// PRNG seed for the hill-climb restarts.
     pub seed: u64,
     /// Maximum *unique* model evaluations; also the exhaustive-
-    /// enumeration threshold (`3^G <= budget` enumerates).
+    /// enumeration threshold (`3^G <= budget` enumerates). Keep it at
+    /// most [`MAX_BUDGET`]: the exhaustive space is built in memory.
     pub budget: usize,
 }
 
