@@ -18,11 +18,12 @@ fn main() {
     for k in extra_kernels(400) {
         let runs = run_all_policies(&k, SEED).expect("kernel runs");
         let row = runs.table2_row();
+        let e_ii = runs.e.try_ii().expect("steady state");
         println!(
             "{:<9} {:>6} {:>7} | {:>9} {:>9} | {:>9} {:>9}",
             row.kernel,
             k.ideal_recurrence,
-            r2(runs.e.ii()),
+            r2(e_ii),
             r2(row.eopt_perf),
             r2(row.eopt_eff),
             r2(row.popt_perf),
@@ -33,7 +34,7 @@ fn main() {
             format!("extra_kernels/{}", row.kernel),
             vec![
                 ("ideal_recurrence".into(), k.ideal_recurrence as f64),
-                ("e_ii".into(), runs.e.ii()),
+                ("e_ii".into(), e_ii),
                 ("eopt_perf".into(), row.eopt_perf),
                 ("eopt_eff".into(), row.eopt_eff),
                 ("popt_perf".into(), row.popt_perf),

@@ -18,7 +18,7 @@ fn main() {
         println!("\n{}:", k.name);
         println!("  {:<10} {:>6} {:>6}", "config", "perf", "eff");
         let mut metrics = Vec::new();
-        for p in figure13(&runs) {
+        for p in figure13(&runs).expect("steady state") {
             println!("  {:<10} {:>6} {:>6}", p.label, r2(p.perf), r2(p.eff));
             metrics.push((format!("{}_perf", p.label), p.perf));
             metrics.push((format!("{}_eff", p.label), p.eff));

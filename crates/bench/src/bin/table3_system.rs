@@ -27,7 +27,7 @@ fn main() {
     // per-row core simulations then fan out per kernel. Printing stays
     // on the main thread in kernel order.
     let all = run_all_policies_many(&evaluation_kernels(), SEED).expect("kernels run");
-    let rows = uecgra_core::par::par_map(&all, table3_row);
+    let rows = uecgra_core::par::par_map(&all, |runs| table3_row(runs).expect("steady state"));
     for row in &rows {
         let find = |p: Policy| {
             row.relative

@@ -12,7 +12,7 @@
 //!   and zero violations (the expected fate of handshake and timing
 //!   faults: the elastic protocol absorbs delay);
 //! * `error` — the pipeline converted the fault into a structured
-//!   [`Error`](uecgra_core::Error) (`Protocol`, `Stalled`,
+//!   [`Error`] (`Protocol`, `Stalled`,
 //!   `DidNotTerminate`, ...);
 //! * `undetected` — the run completed with corrupted memory and no
 //!   violation: a **gate failure**;

@@ -109,11 +109,6 @@ impl UnsafeLut {
         let idx = (t / self.dst_period) % edges_per_hyper;
         self.bits[idx as usize]
     }
-
-    /// Fraction of receiver edges that are unsafe.
-    pub fn unsafe_fraction(&self) -> f64 {
-        self.bits.iter().filter(|&&b| b).count() as f64 / self.bits.len() as f64
-    }
 }
 
 /// The full 3×3 bank of LUTs a PE carries (the nine `CNT LUT` blocks
@@ -139,21 +134,6 @@ impl ClockChecker {
     pub fn lut(&self, src: VfMode, dst: VfMode) -> &UnsafeLut {
         &self.luts[(src as usize) * 3 + (dst as usize)]
     }
-
-    /// The 9-bit unsafe bus at PLL tick `t`: for each `src → dst` pair
-    /// whose receiver clock has a rising edge at `t`, whether that edge
-    /// is unsafe. Pairs without a receiver edge at `t` report `false`.
-    pub fn unsafe_bus(&self, clocks: &ClockSet, t: u64) -> [bool; 9] {
-        let mut bus = [false; 9];
-        for (i, src) in VfMode::ALL.iter().enumerate() {
-            for (j, dst) in VfMode::ALL.iter().enumerate() {
-                if clocks.is_rising(*dst, t) {
-                    bus[i * 3 + j] = self.lut(*src, *dst).is_unsafe_at(t);
-                }
-            }
-        }
-        bus
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +149,7 @@ mod tests {
         let c = default_clocks();
         for m in VfMode::ALL {
             let lut = UnsafeLut::build(&c, m, m);
-            assert_eq!(lut.unsafe_fraction(), 0.0, "{m}→{m}");
+            assert!(lut.bits.iter().all(|&b| !b), "{m}→{m}");
         }
     }
 
@@ -223,24 +203,7 @@ mod tests {
         // flowing (see `suppressor`).
         let c = default_clocks();
         let lut = UnsafeLut::build(&c, VfMode::Sprint, VfMode::Nominal);
-        assert_eq!(lut.unsafe_fraction(), 1.0);
-    }
-
-    #[test]
-    fn unsafe_bus_reports_only_rising_receivers() {
-        let c = default_clocks();
-        let checker = ClockChecker::new(&c);
-        // t = 1: no clock rises → bus all false.
-        assert_eq!(checker.unsafe_bus(&c, 1), [false; 9]);
-        // t = 4: only sprint rises → only *→sprint lanes may be set.
-        let bus = checker.unsafe_bus(&c, 4);
-        for (i, src) in VfMode::ALL.iter().enumerate() {
-            for (j, dst) in VfMode::ALL.iter().enumerate() {
-                if *dst != VfMode::Sprint {
-                    assert!(!bus[i * 3 + j], "{src}→{dst} cannot flag at t=4");
-                }
-            }
-        }
+        assert!(lut.bits.iter().all(|&b| b));
     }
 
     #[test]

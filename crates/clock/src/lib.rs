@@ -5,9 +5,6 @@
 //!
 //! * all PE clocks divide one PLL by small integers ([`ClockSet`],
 //!   default 2-to-3-to-9 for sprint/nominal/rest);
-//! * 50%-duty dividers generate and align them ([`ClockDivider`]);
-//! * each PE selects its clock through a glitchless switcher
-//!   ([`ClockSwitcher`]);
 //! * a counter+LUT clock checker flags "unsafe" capture edges whose
 //!   launch-to-capture margin is below one receiver period
 //!   ([`checker`]);
@@ -30,15 +27,11 @@
 #![warn(missing_docs)]
 
 pub mod checker;
-pub mod divider;
 pub mod ratio;
 pub mod sta;
 pub mod suppressor;
-pub mod switcher;
 
 pub use checker::{classify_crossing, CaptureEdge, ClockChecker, UnsafeLut};
-pub use divider::ClockDivider;
 pub use ratio::{ClockSet, RatioError, VfMode};
 pub use sta::{verify_all, verify_crossing, StaReport};
 pub use suppressor::{SuppressDecision, Suppressor};
-pub use switcher::ClockSwitcher;

@@ -36,12 +36,6 @@ impl VfMode {
     pub fn speedup_over_nominal(self, clocks: &ClockSet) -> f64 {
         clocks.frequency_ratio(self, VfMode::Nominal)
     }
-
-    /// Node latency in nominal-cycle units (1.0 at nominal; 3.0 at rest
-    /// and 2/3 at sprint for the default 2:3:9 clock set).
-    pub fn latency_in_nominal_cycles(self, clocks: &ClockSet) -> f64 {
-        1.0 / self.speedup_over_nominal(clocks)
-    }
 }
 
 impl fmt::Display for VfMode {
@@ -228,8 +222,8 @@ mod tests {
         let c = ClockSet::default();
         assert_eq!(c.frequency_ratio(VfMode::Sprint, VfMode::Nominal), 1.5);
         assert!((c.frequency_ratio(VfMode::Rest, VfMode::Nominal) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(VfMode::Rest.latency_in_nominal_cycles(&c), 3.0);
-        assert!((VfMode::Sprint.latency_in_nominal_cycles(&c) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(VfMode::Sprint.speedup_over_nominal(&c), 1.5);
+        assert_eq!(VfMode::Nominal.speedup_over_nominal(&c), 1.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! forwarded systolically through the array (Section IV-A). Constants
 //! and phi-initial tokens are delivered as follow-on words.
 
-use crate::mapping::{Coord, MappedKernel};
+use crate::mapping::{Coord, MapError, MappedKernel};
 use crate::power_map::pe_clock_grid;
 use std::fmt;
 use uecgra_clock::VfMode;
@@ -391,8 +391,7 @@ impl Bitstream {
     ///
     /// Returns [`MapError::MalformedBitstream`] naming the first
     /// offending PE.
-    pub fn validate(&self) -> Result<(), crate::mapping::MapError> {
-        use crate::mapping::MapError;
+    pub fn validate(&self) -> Result<(), MapError> {
         let width = self.grid.first().map_or(0, Vec::len);
         for (y, row) in self.grid.iter().enumerate() {
             if row.len() != width {

@@ -7,7 +7,6 @@
 
 use crate::ir::{Expr, IrError, LoopNest, Stmt};
 use std::collections::HashMap;
-use uecgra_dfg::Op;
 
 /// Errors during interpretation (beyond static [`IrError`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,30 +133,11 @@ pub fn interpret_fresh(nest: &LoopNest, mem: &[u32]) -> Result<Vec<u32>, InterpE
     Ok(m)
 }
 
-/// Ops the interpreter and lowering share (compile-time sanity export).
-pub const EXPR_OPS: [Op; 16] = [
-    Op::Add,
-    Op::Sub,
-    Op::Mul,
-    Op::And,
-    Op::Or,
-    Op::Xor,
-    Op::Sll,
-    Op::Srl,
-    Op::Eq,
-    Op::Ne,
-    Op::Gt,
-    Op::Geq,
-    Op::Lt,
-    Op::Leq,
-    Op::Cp0,
-    Op::Cp1,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Carried;
+    use uecgra_dfg::Op;
 
     #[test]
     fn interprets_accumulation() {

@@ -33,14 +33,6 @@ impl Placement {
         self.coords.iter().copied()
     }
 
-    /// The node occupying `coord`, if any.
-    pub fn node_at(&self, coord: Coord) -> Option<NodeId> {
-        self.coords
-            .iter()
-            .position(|&c| c == Some(coord))
-            .map(NodeId::from_index)
-    }
-
     /// Total Manhattan wirelength of all on-fabric edges.
     pub fn wirelength(&self, dfg: &Dfg) -> usize {
         dfg.edges()
@@ -229,19 +221,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn node_at_inverts_coord() {
-        let s = synthetic::chain(4);
-        let p = place(&s.dfg, ArrayShape::default(), 0).unwrap();
-        for (id, n) in s.dfg.nodes() {
-            if n.op.is_pseudo() {
-                continue;
-            }
-            let c = p.coord(id).unwrap();
-            assert_eq!(p.node_at(c), Some(id));
-        }
-        assert!(p.node_at((7, 7)).is_none());
     }
 }

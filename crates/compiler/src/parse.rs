@@ -24,10 +24,18 @@
 //! Parsing produces a [`Program`]: the array symbol table plus a
 //! [`LoopNest`] ready for [`crate::frontend::lower`].
 
-use crate::ir::{Carried, Expr, LoopNest, Stmt};
+use crate::ir::{Carried, Expr, IrError, LoopNest, Stmt};
 use std::collections::HashMap;
 use std::fmt;
 use uecgra_dfg::Op;
+
+/// Deepest expression [`parse`] accepts. Each operator, array index
+/// and pair of parentheses is one level, so a left-deep chain such as
+/// `a + 1 + 1 + ...` is as deep as it has terms. Parsing, validation,
+/// lowering and interpretation all recurse over the tree; the cap turns
+/// a deeper one into a [`ParseError`] instead of a stack overflow. The
+/// paper kernels nest under 10 levels.
+pub const MAX_EXPR_DEPTH: usize = 256;
 
 /// A parsed program: array bases plus the loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,7 +151,13 @@ struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     arrays: HashMap<String, u32>,
+    /// Parentheses and array indices open at `pos`.
+    open: usize,
 }
+
+/// A parsed expression and its depth counted from the outermost
+/// enclosing expression (see [`MAX_EXPR_DEPTH`]).
+type Sub = (Expr, usize);
 
 impl Parser {
     fn peek(&self) -> Option<&Tok> {
@@ -228,13 +242,40 @@ impl Parser {
         }
     }
 
+    /// `depth + 1`, or an error past [`MAX_EXPR_DEPTH`].
+    fn deeper(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth < MAX_EXPR_DEPTH {
+            Ok(depth + 1)
+        } else {
+            Err(self.err(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )))
+        }
+    }
+
+    fn bin(&self, op: Op, (lhs, l): Sub, (rhs, r): Sub) -> Result<Sub, ParseError> {
+        Ok((Expr::bin(op, lhs, rhs), self.deeper(l.max(r))?))
+    }
+
+    /// An expression nested inside `(...)` or `[...]`.
+    fn inner(&mut self) -> Result<Sub, ParseError> {
+        self.open = self.deeper(self.open)?;
+        let sub = self.cmp_expr()?;
+        self.open -= 1;
+        Ok(sub)
+    }
+
+    fn expr(&mut self) -> Result<Expr, ParseError> {
+        Ok(self.cmp_expr()?.0)
+    }
+
     // Expression grammar (loosest to tightest):
     // cmp:  add (==|!=|>|>=|<|<= add)?
     // add:  mulg ((+|-|&,|,^) mulg)*
     // mulg: shift (* shift)*
     // shift: atom ((<<|>>) atom)*
     // atom: num | ident | ident[expr] | (cmp)
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn cmp_expr(&mut self) -> Result<Sub, ParseError> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Some(Tok::Sym("==")) => Some(Op::Eq),
@@ -248,12 +289,12 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let rhs = self.add_expr()?;
-            return Ok(Expr::bin(op, lhs, rhs));
+            return self.bin(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
+    fn add_expr(&mut self) -> Result<Sub, ParseError> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -266,22 +307,22 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    fn mul_expr(&mut self) -> Result<Sub, ParseError> {
         let mut lhs = self.shift_expr()?;
         while matches!(self.peek(), Some(Tok::Sym("*"))) {
             self.pos += 1;
             let rhs = self.shift_expr()?;
-            lhs = Expr::bin(Op::Mul, lhs, rhs);
+            lhs = self.bin(Op::Mul, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn shift_expr(&mut self) -> Result<Expr, ParseError> {
+    fn shift_expr(&mut self) -> Result<Sub, ParseError> {
         let mut lhs = self.atom()?;
         loop {
             let op = match self.peek() {
@@ -291,31 +332,33 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.atom()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn atom(&mut self) -> Result<Expr, ParseError> {
+    fn atom(&mut self) -> Result<Sub, ParseError> {
+        let leaf = self.deeper(self.open)?;
         match self.next() {
-            Some(Tok::Num(n)) => Ok(Expr::Const(n)),
+            Some(Tok::Num(n)) => Ok((Expr::Const(n), leaf)),
             Some(Tok::Ident(name)) => {
                 if self.eat_sym("[") {
-                    let idx = self.expr()?;
+                    let (idx, depth) = self.inner()?;
                     self.expect_sym("]")?;
                     let base = *self.arrays.get(&name).ok_or_else(|| ParseError {
                         offset: self.offset(),
                         message: format!("undeclared array `{name}`"),
                     })?;
-                    Ok(Expr::load(Expr::add(idx, Expr::Const(base))))
+                    let load = Expr::load(Expr::add(idx, Expr::Const(base)));
+                    Ok((load, self.deeper(depth)?))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), leaf))
                 }
             }
             Some(Tok::Sym("(")) => {
-                let e = self.expr()?;
+                let sub = self.inner()?;
                 self.expect_sym(")")?;
-                Ok(e)
+                Ok(sub)
             }
             other => Err(ParseError {
                 offset: self.toks.get(self.pos - 1).map(|(o, _)| *o).unwrap_or(0),
@@ -324,14 +367,20 @@ impl Parser {
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        if self.eat_kw("if") {
+    /// One statement; `in_if` is true inside an `if` arm, where a
+    /// nested `if` is rejected before it is parsed.
+    fn stmt(&mut self, in_if: bool) -> Result<Stmt, ParseError> {
+        if matches!(self.peek(), Some(Tok::Kw("if"))) {
+            if in_if {
+                return Err(self.err(IrError::NestedIf.to_string()));
+            }
+            self.pos += 1;
             self.expect_sym("(")?;
             let cond = self.expr()?;
             self.expect_sym(")")?;
-            let then_arm = self.block()?;
+            let then_arm = self.block(true)?;
             let else_arm = if self.eat_kw("else") {
-                self.block()?
+                self.block(true)?
             } else {
                 Vec::new()
             };
@@ -365,14 +414,14 @@ impl Parser {
         Ok(Stmt::Assign(name, value))
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block(&mut self, in_if: bool) -> Result<Vec<Stmt>, ParseError> {
         self.expect_sym("{")?;
         let mut stmts = Vec::new();
         while !self.eat_sym("}") {
             if self.peek().is_none() {
                 return Err(self.err("unterminated block"));
             }
-            stmts.push(self.stmt()?);
+            stmts.push(self.stmt(in_if)?);
         }
         Ok(stmts)
     }
@@ -403,6 +452,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         toks,
         pos: 0,
         arrays: HashMap::new(),
+        open: 0,
     };
 
     // Array declarations.
@@ -438,7 +488,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         }
         p.expect_sym(")")?;
     }
-    let body = p.block()?;
+    let body = p.block(false)?;
     if p.peek().is_some() {
         return Err(p.err("trailing tokens after the loop"));
     }
@@ -685,6 +735,52 @@ mod tests {
 
         let err = parse("for i in 0..4 { x = ghost; }").unwrap_err();
         assert!(err.message.contains("read before definition"), "{err}");
+    }
+
+    #[test]
+    fn expression_depth_is_capped() {
+        let parens = |n: usize| {
+            let e = format!("{}i{}", "(".repeat(n), ")".repeat(n));
+            parse(&format!("for i in 0..4 {{ let x = {e}; }}"))
+        };
+        // Each pair of parentheses is a level, and so is the leaf.
+        assert!(parens(MAX_EXPR_DEPTH - 1).is_ok());
+        let err = parens(MAX_EXPR_DEPTH).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+        assert!(err.offset > 24, "{err}");
+
+        // A left-deep chain of n terms is n levels deep.
+        let chain = |n: usize| {
+            let e = "i".to_string() + &" + 1".repeat(n - 1);
+            parse(&format!("for i in 0..4 {{ let x = {e}; }}"))
+        };
+        assert!(chain(MAX_EXPR_DEPTH).is_ok());
+        let err = chain(MAX_EXPR_DEPTH + 1).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+
+        // Far past the cap fails the same way instead of overflowing
+        // the stack.
+        assert!(parens(100_000).is_err());
+        assert!(chain(100_000).is_err());
+        let err = parse(&format!(
+            "for i in 0..4 {{ x = {}i]; }}",
+            "a[".repeat(100_000)
+        ));
+        assert!(err.unwrap_err().message.contains("nests deeper"));
+    }
+
+    #[test]
+    fn nested_if_is_rejected_where_it_starts() {
+        let src = "for i in 0..4 { if (i > 0) { if (i > 1) { } } }";
+        let err = parse(src).unwrap_err();
+        assert_eq!(err.offset, src.find("if (i > 1)").unwrap());
+        assert_eq!(err.message, IrError::NestedIf.to_string());
+        let deep = format!(
+            "for i in 0..4 {{ {}{} }}",
+            "if (i > 0) { ".repeat(100_000),
+            "}".repeat(100_000)
+        );
+        assert_eq!(parse(&deep).unwrap_err().offset, 29);
     }
 
     #[test]

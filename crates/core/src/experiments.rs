@@ -95,16 +95,23 @@ pub fn run_all_policies_many(kernels: &[Kernel], seed: u64) -> Result<Vec<Kernel
 
 impl KernelRuns {
     /// Compute the Table II row (fully-gated energy accounting).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run has no steady-state II ([`CgraRun::try_ii`]
+    /// fails): the kernel must be built for more iterations than the
+    /// skip-8 measurement window, as every Table II kernel is.
     pub fn table2_row(&self) -> Table2Row {
+        let ii = |run: &CgraRun| run.try_ii().expect("Table II runs reach a steady state");
         let g = GatingConfig::FULL;
         let e = cgra_energy(&self.e, g);
         let eo = cgra_energy(&self.eopt, g);
         let po = cgra_energy(&self.popt, g);
         Table2Row {
             kernel: self.kernel.name,
-            eopt_perf: self.e.ii() / self.eopt.ii(),
+            eopt_perf: ii(&self.e) / ii(&self.eopt),
             eopt_eff: e.per_iteration_pj() / eo.per_iteration_pj(),
-            popt_perf: self.e.ii() / self.popt.ii(),
+            popt_perf: ii(&self.e) / ii(&self.popt),
             popt_eff: e.per_iteration_pj() / po.per_iteration_pj(),
         }
     }
@@ -137,7 +144,12 @@ pub struct FrontierPoint {
 
 /// Figure 13 for one kernel: the E-CGRA global-VF curve plus the two
 /// UE-CGRA fine-grain points.
-pub fn figure13(runs: &KernelRuns) -> Vec<FrontierPoint> {
+///
+/// # Errors
+///
+/// Returns [`Error::NoSteadyState`] if a run is too short to measure
+/// its II.
+pub fn figure13(runs: &KernelRuns) -> Result<Vec<FrontierPoint>, Error> {
     let g = GatingConfig::FULL;
     // Global E-CGRA scaling: (V, f) pairs from the figure caption.
     let globals = [
@@ -156,15 +168,16 @@ pub fn figure13(runs: &KernelRuns) -> Vec<FrontierPoint> {
         .collect();
 
     let e = cgra_energy(&runs.e, g);
+    let e_ii = runs.e.try_ii()?;
     for (label, run) in [("UE-EOpt", &runs.eopt), ("UE-POpt", &runs.popt)] {
         let x = cgra_energy(run, g);
         points.push(FrontierPoint {
             label,
-            perf: runs.e.ii() / run.ii(),
+            perf: e_ii / run.try_ii()?,
             eff: e.per_iteration_pj() / x.per_iteration_pj(),
         });
     }
-    points
+    Ok(points)
 }
 
 /// One row of Table I: the power breakdown of a configuration under a
@@ -253,10 +266,15 @@ pub struct Table3Row {
 
 /// Compute Table III for one kernel.
 ///
+/// # Errors
+///
+/// Returns [`Error::NoSteadyState`] if the E-CGRA run is too short to
+/// measure its II.
+///
 /// # Panics
 ///
 /// Panics if the kernel's core program misbehaves (checked by tests).
-pub fn table3_row(runs: &KernelRuns) -> Table3Row {
+pub fn table3_row(runs: &KernelRuns) -> Result<Table3Row, Error> {
     let k = &runs.kernel;
     let core = programs::run_on_core(k.name, k.iters, k.mem.clone())
         .expect("core programs are well-formed");
@@ -287,16 +305,16 @@ pub fn table3_row(runs: &KernelRuns) -> Table3Row {
         relative.push((policy, perf, eff));
     }
 
-    Table3Row {
+    Ok(Table3Row {
         kernel: k.name,
         ideal_recurrence: k.ideal_recurrence,
-        real_recurrence: runs.e.ii(),
+        real_recurrence: runs.e.try_ii()?,
         cfg_cycles: (cfg_e, cfg_ue),
         data_cycles,
         core_cycles: core.cycles,
         core_energy_pj: core_e,
         relative,
-    }
+    })
 }
 
 /// Figure 14 data: per-PE energy contours with DVFS-mode glyphs.
@@ -419,7 +437,7 @@ mod tests {
     fn figure13_has_a_real_tradeoff() {
         let k = kernels::llist::build_with_hops(60);
         let runs = run_all_policies(&k, SEED).unwrap();
-        let pts = figure13(&runs);
+        let pts = figure13(&runs).unwrap();
         let by = |l: &str| pts.iter().find(|p| p.label == l).unwrap().clone();
         let rest = by("rest");
         let sprint = by("sprint");
@@ -457,7 +475,7 @@ mod tests {
     fn table3_kernels_beat_the_core_with_popt() {
         for k in small_kernels() {
             let runs = run_all_policies(&k, SEED).unwrap();
-            let row = table3_row(&runs);
+            let row = table3_row(&runs).unwrap();
             let popt = row
                 .relative
                 .iter()

@@ -24,7 +24,7 @@
 //! let kernel = kernels::llist::build_with_hops(40);
 //! let base = RunRequest::new(&kernel).seed(7).run().unwrap();
 //! let fast = RunRequest::new(&kernel).policy(Policy::UePerfOpt).seed(7).run().unwrap();
-//! let speedup = base.ii() / fast.ii();
+//! let speedup = base.try_ii().unwrap() / fast.try_ii().unwrap();
 //! assert!(speedup > 1.1, "fine-grain DVFS sprints the pointer chase");
 //! let energy = cgra_energy(&fast, GatingConfig::FULL);
 //! assert!(energy.per_iteration_pj() > 0.0);

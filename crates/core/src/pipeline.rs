@@ -17,7 +17,7 @@
 //!     .seed(7)
 //!     .run()
 //!     .unwrap();
-//! assert!(run.ii() > 0.0);
+//! assert!(run.try_ii().unwrap() > 0.0);
 //! ```
 //!
 //! The builder exposes the knobs the harnesses need (queue depth,
@@ -101,17 +101,6 @@ impl CgraRun {
         self.activity.steady_ii(8).ok_or(Error::NoSteadyState {
             iterations: self.activity.iterations(),
         })
-    }
-
-    /// Steady-state initiation interval in nominal cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run produced too few iterations to measure; use
-    /// [`CgraRun::try_ii`] to get a structured error instead.
-    pub fn ii(&self) -> f64 {
-        self.try_ii()
-            .expect("kernel runs enough iterations for a steady state")
     }
 
     /// Wall-clock compute time in nanoseconds (750 MHz nominal).
@@ -425,7 +414,7 @@ mod tests {
                 "{}: wrong result",
                 policy.label()
             );
-            assert!(run.ii() > 0.0);
+            assert!(run.try_ii().unwrap() > 0.0);
         }
     }
 
@@ -434,7 +423,8 @@ mod tests {
         let k = kernels::dither::build_with_pixels(60);
         let e = RunRequest::new(&k).run().unwrap();
         let p = RunRequest::new(&k).policy(Policy::UePerfOpt).run().unwrap();
-        assert!(p.ii() < e.ii(), "POpt {} vs E {}", p.ii(), e.ii());
+        let (p, e) = (p.try_ii().unwrap(), e.try_ii().unwrap());
+        assert!(p < e, "POpt {p} vs E {e}");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Building [`RunReport`]s from finished pipeline runs.
 //!
-//! This is the bridge between the simulator's [`Activity`] counters
-//! and the `uecgra-probe` schema: one [`RunReport`] per
-//! [`CgraRun`], with per-PE edge-classified stall attribution, queue
-//! occupancy histograms and the per-domain clock-edge counters the
-//! measured clock-power path consumes. Everything emitted here is a
-//! pure function of the run, so reports inherit the workspace
-//! determinism contract (DESIGN.md §9).
+//! This is the bridge between the simulator's
+//! [`Activity`](uecgra_rtl::Activity) counters and the `uecgra-probe`
+//! schema: one [`RunReport`] per [`CgraRun`], with per-PE
+//! edge-classified stall attribution, queue occupancy histograms and
+//! the per-domain clock-edge counters the measured clock-power path
+//! consumes. Everything emitted here is a pure function of the run, so
+//! reports inherit the workspace determinism contract (DESIGN.md §9).
 
 use crate::pipeline::CgraRun;
 use uecgra_clock::VfMode;

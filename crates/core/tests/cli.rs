@@ -264,3 +264,66 @@ fn loops_too_short_to_power_map_are_an_error_not_a_panic() {
         assert!(status.success(), "2 {command:?}: {stderr}");
     }
 }
+
+#[test]
+fn deeply_nested_json_is_an_error_not_an_abort() {
+    let deep = std::env::temp_dir().join("uecgra_cli_deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).expect("write");
+    let src = write_source("uecgra_cli_deep_cache.loop", ACCUMULATE);
+    let commands: [&[&str]; 2] = [
+        &["check-report", deep.to_str().unwrap()],
+        &[
+            "dse",
+            src.to_str().unwrap(),
+            "--cache",
+            deep.to_str().unwrap(),
+        ],
+    ];
+    for command in commands {
+        let out = Command::new(bin())
+            .args(command)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        assert!(stderr.contains("nest deeper than"), "{command:?}: {stderr}");
+    }
+}
+
+#[test]
+fn deeply_nested_loop_sources_are_an_error_not_an_abort() {
+    let n = 100_000;
+    let shapes = [
+        (
+            "parens",
+            ACCUMULATE.replace(
+                "acc + src[i]",
+                &format!("{}acc{}", "(".repeat(n), ")".repeat(n)),
+            ),
+            "expression nests deeper",
+        ),
+        (
+            "chain",
+            ACCUMULATE.replace("acc + src[i]", &format!("acc{}", " + 1".repeat(n))),
+            "expression nests deeper",
+        ),
+        (
+            "ifs",
+            ACCUMULATE.replace(
+                "dst[i] = acc;",
+                &format!("{}{}", "if (acc > 0) { ".repeat(n), "}".repeat(n)),
+            ),
+            "nested if statements are not supported",
+        ),
+    ];
+    for (name, body, expect) in shapes {
+        let src = write_source(&format!("uecgra_cli_deep_{name}.loop"), &body);
+        let out = Command::new(bin())
+            .args(["compile", src.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(expect), "{name}: {stderr}");
+    }
+}

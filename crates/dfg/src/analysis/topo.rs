@@ -83,25 +83,6 @@ impl TopoOrder {
     pub fn excluded_edges(&self) -> &[EdgeId] {
         &self.excluded
     }
-
-    /// Longest forward-path depth of each node (source depth 0): the
-    /// as-soon-as-possible schedule level, used by placement.
-    pub fn asap_depth(&self, graph: &Dfg) -> Vec<usize> {
-        let excluded: HashSet<usize> = self.excluded.iter().map(|e| e.index()).collect();
-        let mut depth = vec![0usize; graph.node_count()];
-        for &node in &self.order {
-            for (id, e) in graph.outputs(node) {
-                if excluded.contains(&id.index()) {
-                    continue;
-                }
-                let d = depth[node.index()] + 1;
-                if d > depth[e.dst.index()] {
-                    depth[e.dst.index()] = d;
-                }
-            }
-        }
-        depth
-    }
 }
 
 #[cfg(test)]
@@ -139,29 +120,6 @@ mod tests {
         assert_eq!(topo.order().len(), 3);
         assert_eq!(topo.excluded_edges().len(), 1);
         assert!(topo.rank(phi) < topo.rank(add));
-    }
-
-    #[test]
-    fn asap_depth_is_longest_path() {
-        let mut g = Dfg::new();
-        let a = g.add_node(Op::Source, "a").id();
-        let b = g.add_node(Op::Add, "b").constant(0).id();
-        let c = g.add_node(Op::Add, "c").constant(0).id();
-        let d = g.add_node(Op::Add, "d").id();
-        g.connect(a, b);
-        g.connect(b, c);
-        g.connect(a, d);
-        g.connect(c, d);
-        let topo = TopoOrder::compute(&g);
-        let depth = topo.asap_depth(&g);
-        assert_eq!(depth[a.index()], 0);
-        assert_eq!(depth[b.index()], 1);
-        assert_eq!(depth[c.index()], 2);
-        assert_eq!(
-            depth[d.index()],
-            3,
-            "longest path wins over the short a->d edge"
-        );
     }
 
     #[test]

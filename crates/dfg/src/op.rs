@@ -151,11 +151,6 @@ impl Op {
         matches!(self, Op::Source | Op::Sink)
     }
 
-    /// True if the op needs the PE multiply block.
-    pub fn uses_multiplier(self) -> bool {
-        matches!(self, Op::Mul)
-    }
-
     /// Evaluate a two-input combinational op. For one-input ops the second
     /// operand is ignored. `Phi`, `Br`, `Load`, `Store`, `Source` and
     /// `Sink` have structural semantics handled by the simulators; calling
@@ -330,6 +325,5 @@ mod tests {
         assert!(Op::Load.is_memory() && Op::Store.is_memory());
         assert!(Op::Source.is_pseudo() && Op::Sink.is_pseudo());
         assert!(!Op::Mul.is_pseudo());
-        assert!(Op::Mul.uses_multiplier() && !Op::Add.uses_multiplier());
     }
 }

@@ -136,7 +136,7 @@ impl EvalCache {
         std::fs::write(path, self.to_json().render()).map_err(|e| format!("writing {path}: {e}"))
     }
 
-    /// Parse a cache document previously produced by [`to_json`].
+    /// Parse a cache document previously produced by [`to_json`](Self::to_json).
     ///
     /// # Errors
     ///

@@ -10,6 +10,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting the parser accepts. Reports and cache
+/// files nest under 10 levels; the cap turns a hostile document into a
+/// [`JsonError`] instead of a stack overflow in the recursive parser.
+const MAX_DEPTH: usize = 256;
+
 /// A JSON value.
 ///
 /// Numbers are split into three variants so integers survive a
@@ -182,6 +187,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -237,6 +243,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -281,11 +289,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.error(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -526,6 +547,20 @@ mod tests {
         assert_eq!(err.offset, 6);
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("true false").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&over).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nest deeper"), "{err}");
+        // Far past the cap fails the same way instead of overflowing
+        // the stack; objects count as levels too.
+        let err = Json::parse(&"{\"a\": [".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, 7 * (MAX_DEPTH / 2));
     }
 
     #[test]

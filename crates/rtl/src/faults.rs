@@ -25,7 +25,7 @@
 //!
 //! A [`FaultPlan`] is pure data (it lives in
 //! [`FabricConfig`](crate::fabric::FabricConfig)); the mutable
-//! trigger state lives in [`FaultState`] inside the fabric, so a plan
+//! trigger state lives in `FaultState` inside the fabric, so a plan
 //! can be reused across runs and engines. Both engines evaluate the
 //! same plan at the same queue operations, which keeps the dense and
 //! event-driven engines bit-identical under injection (the event
@@ -157,7 +157,7 @@ impl Fault {
 }
 
 /// A set of faults to inject into one run. Pure data — the trigger
-/// counters live in [`FaultState`].
+/// counters live in the fabric's private `FaultState`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The faults, applied in order at each matching queue operation.

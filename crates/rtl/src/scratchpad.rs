@@ -79,11 +79,6 @@ impl Scratchpad {
     pub fn image(&self, n: usize) -> Vec<u32> {
         self.words[..n.min(self.words.len())].to_vec()
     }
-
-    /// Number of subbanks backing the current size.
-    pub fn bank_count(&self) -> usize {
-        self.words.len() / BANK_WORDS
-    }
 }
 
 #[cfg(test)]
@@ -94,9 +89,8 @@ mod tests {
     fn pads_to_whole_banks() {
         let s = Scratchpad::new(vec![1, 2, 3], 1);
         assert_eq!(s.len(), BANK_WORDS);
-        assert_eq!(s.bank_count(), 1);
         let s2 = Scratchpad::new(vec![0; BANK_WORDS + 1], 1);
-        assert_eq!(s2.bank_count(), 2);
+        assert_eq!(s2.len(), 2 * BANK_WORDS);
     }
 
     #[test]

@@ -260,19 +260,9 @@ impl Assembler {
         self.branch_to(BranchOp::Lt, rs1, rs2, target)
     }
 
-    /// `bge rs1, rs2, target`
-    pub fn bge_to(&mut self, rs1: u8, rs2: u8, target: Label) -> &mut Self {
-        self.branch_to(BranchOp::Ge, rs1, rs2, target)
-    }
-
     /// `beq rs1, rs2, target`
     pub fn beq_to(&mut self, rs1: u8, rs2: u8, target: Label) -> &mut Self {
         self.branch_to(BranchOp::Eq, rs1, rs2, target)
-    }
-
-    /// `bne rs1, rs2, target`
-    pub fn bne_to(&mut self, rs1: u8, rs2: u8, target: Label) -> &mut Self {
-        self.branch_to(BranchOp::Ne, rs1, rs2, target)
     }
 
     /// `beq` skipping the next `n` instructions.

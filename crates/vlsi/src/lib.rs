@@ -3,8 +3,6 @@
 //! Calibrated substitutes for the paper's commercial-flow results in
 //! TSMC 28 nm:
 //!
-//! * [`spice`] — an alpha-power-law ring-oscillator model standing in
-//!   for SPICE, reproducing the published voltage-frequency anchors;
 //! * [`area`] — component-level PE area for the inelastic, elastic,
 //!   and ultra-elastic PEs across cycle-time targets (Figures 10/11);
 //! * [`energy`] — absolute per-op PE energies (Figure 11);
@@ -18,7 +16,6 @@ pub mod area;
 pub mod clock_power;
 pub mod energy;
 pub mod layout;
-pub mod spice;
 
 pub use area::{pe_area, pe_area_reference, CgraKind};
 pub use clock_power::{
@@ -26,4 +23,3 @@ pub use clock_power::{
 };
 pub use energy::{bypass_energy_pj, op_energy_pj, stall_energy_pj};
 pub use layout::{array_area_um2, edge_um};
-pub use spice::RingOscillator;

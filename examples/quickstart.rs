@@ -39,7 +39,7 @@ fn main() {
             "result must match the host reference"
         );
         let energy = cgra_energy(&run, GatingConfig::FULL);
-        let ii = run.ii();
+        let ii = run.try_ii().expect("steady state");
         let pj = energy.per_iteration_pj();
         let (speedup, eff) = match (baseline_ii, baseline_pj) {
             (Some(b), Some(e)) => (b / ii, e / pj),

@@ -97,7 +97,7 @@ fn analytical_and_fabric_throughput_are_consistent() {
             .seed(SEED)
             .run()
             .expect("compiles");
-        let f_ii = fabric.ii();
+        let f_ii = fabric.try_ii().expect("fabric steady state");
         assert!(
             f_ii >= a_ii - 0.7,
             "{}: fabric II {f_ii} beats the logical bound {a_ii}",
@@ -128,7 +128,7 @@ fn headline_results_hold() {
     );
 
     // System level: the CGRA must beat the scalar core on dither.
-    let t3 = table3_row(&runs);
+    let t3 = table3_row(&runs).expect("steady state");
     let popt = t3
         .relative
         .iter()
@@ -186,7 +186,7 @@ fn verdicts_are_seed_robust() {
             .seed(seed)
             .run()
             .expect("runs");
-        let speedup = e.ii() / p.ii();
+        let speedup = e.try_ii().unwrap() / p.try_ii().unwrap();
         assert!(
             speedup > 1.2 && speedup < 1.6,
             "seed {seed}: POpt speedup {speedup}"
@@ -225,7 +225,7 @@ fn extension_kernels_run_end_to_end() {
             .seed(SEED)
             .run()
             .unwrap();
-        let speedup = e.ii() / p.ii();
+        let speedup = e.try_ii().unwrap() / p.try_ii().unwrap();
         assert!(speedup > 1.1, "{}: POpt speedup {speedup:.2}", k.name);
     }
 }
