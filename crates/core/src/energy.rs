@@ -97,14 +97,12 @@ pub fn cgra_energy(run: &CgraRun, gating: GatingConfig) -> CgraEnergy {
                 PeRole::RouteOnly => {
                     pe_logic_pj[y][x] = act.bypass_tokens[y][x] as f64
                         * bypass_energy_pj(kind, mode)
-                        + (act.input_stalls[y][x] + act.output_stalls[y][x]) as f64
-                            * stall_energy_pj(kind, mode);
+                        + act.stall_edges(y, x) as f64 * stall_energy_pj(kind, mode);
                 }
                 PeRole::Compute(op) => {
                     pe_logic_pj[y][x] = act.fires[y][x] as f64 * op_energy_pj(kind, op, mode)
                         + act.bypass_tokens[y][x] as f64 * bypass_energy_pj(kind, mode)
-                        + (act.input_stalls[y][x] + act.output_stalls[y][x]) as f64
-                            * stall_energy_pj(kind, mode);
+                        + act.stall_edges(y, x) as f64 * stall_energy_pj(kind, mode);
                 }
             }
         }
@@ -230,6 +228,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A 2x3 fabric whose bypass destinations never drain: X = (1, 0)
+    /// adds 1 to phi A's stream while its bypass slot (South -> West,
+    /// into A's unread East queue) is refused, and the route-only
+    /// Y = (1, 1) has both slots refused (West -> North into X's full
+    /// South queue, East -> West into phi C's unread East queue).
+    fn refused_bypass_run() -> CgraRun {
+        use uecgra_compiler::bitstream::{Bitstream, Bypass, Dir, OperandSel, PeConfig, PeRole};
+        use uecgra_dfg::Op;
+        use uecgra_rtl::{Fabric, FabricConfig};
+        let mask = |d: Dir| {
+            let mut m = [false; 4];
+            m[d as usize] = true;
+            m
+        };
+        let phi = |out: Dir| PeConfig {
+            role: PeRole::Compute(Op::Phi),
+            operands: [OperandSel::Reg, OperandSel::None],
+            alu_true_mask: mask(out),
+            reg_write: true,
+            init: Some(1),
+            ..PeConfig::default()
+        };
+        let bypass = |src: Dir, dst: Dir| {
+            Some(Bypass {
+                src,
+                dst_mask: mask(dst),
+            })
+        };
+        let x = PeConfig {
+            role: PeRole::Compute(Op::Add),
+            operands: [OperandSel::Queue(Dir::West), OperandSel::Const],
+            constant: Some(1),
+            alu_true_mask: mask(Dir::East),
+            bypass: [bypass(Dir::South, Dir::West), None],
+            ..PeConfig::default()
+        };
+        let sink = PeConfig {
+            role: PeRole::Compute(Op::Nop),
+            operands: [OperandSel::Queue(Dir::West), OperandSel::None],
+            ..PeConfig::default()
+        };
+        let y = PeConfig {
+            role: PeRole::RouteOnly,
+            bypass: [bypass(Dir::West, Dir::North), bypass(Dir::East, Dir::West)],
+            ..PeConfig::default()
+        };
+        let bitstream = Bitstream {
+            grid: vec![
+                vec![phi(Dir::East), x, sink],
+                vec![phi(Dir::East), y, phi(Dir::West)],
+            ],
+        };
+        let config = FabricConfig {
+            marker: Some((1, 0)),
+            max_marker_fires: Some(50),
+            ..FabricConfig::default()
+        };
+        let activity = Fabric::new(&bitstream, vec![], config).run();
+        // Only the bitstream and the activity are priced.
+        CgraRun {
+            bitstream,
+            activity,
+            ..dither_run(Policy::ECgra)
+        }
+    }
+
+    #[test]
+    fn stall_energy_is_paid_once_per_stalled_edge() {
+        let run = refused_bypass_run();
+        let act = &run.activity;
+        let e = cgra_energy(&run, GatingConfig::FULL);
+        let kind = kind_of(run.policy);
+        let stall_pj = stall_energy_pj(kind, VfMode::Nominal);
+        let bypass_pj = bypass_energy_pj(kind, VfMode::Nominal);
+        // X forwarded two tokens before A's East queue filled, then
+        // fired with its bypass refused: those edges cost no stall.
+        assert_eq!((act.fires[0][1], act.bypass_tokens[0][1]), (50, 2));
+        let x_stall = e.pe_logic_pj[0][1]
+            - 50.0 * op_energy_pj(kind, uecgra_dfg::Op::Add, VfMode::Nominal)
+            - 2.0 * bypass_pj;
+        let x_stalled = act.rising_edges[0][1] - act.fire_edges[0][1];
+        assert!(
+            x_stalled < 10,
+            "X fires almost every edge: {x_stalled} stalls"
+        );
+        assert!(
+            (x_stall - x_stalled as f64 * stall_pj).abs() < 1e-6,
+            "{x_stall}"
+        );
+        // Y has both slots refused on most edges; each costs one stall.
+        let y_stall = e.pe_logic_pj[1][1] - act.bypass_tokens[1][1] as f64 * bypass_pj;
+        let y_edges = act.rising_edges[1][1];
+        assert!(act.backpressure_stalls[1][1] * 2 > y_edges, "{act:?}");
+        assert!((y_stall - act.stall_edges(1, 1) as f64 * stall_pj).abs() < 1e-6);
+        assert!(y_stall <= y_edges as f64 * stall_pj, "{y_stall}");
     }
 
     #[test]

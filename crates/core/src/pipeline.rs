@@ -379,15 +379,14 @@ impl Compiled<'_> {
     }
 }
 
-/// The PE with the largest summed stall attribution (operand +
-/// suppressed + backpressure edges, the probe layer's partition) —
+/// The PE with the most stalled edges ([`Activity::stall_edges`]) —
 /// first in row-major order on ties, so the choice is deterministic.
 fn worst_stalled_pe(act: &Activity) -> (usize, usize) {
     let mut best = (0usize, 0usize);
     let mut best_stalls = 0u64;
-    for (y, row) in act.operand_stalls.iter().enumerate() {
-        for (x, &op) in row.iter().enumerate() {
-            let total = op + act.suppressed_stalls[y][x] + act.backpressure_stalls[y][x];
+    for (y, row) in act.rising_edges.iter().enumerate() {
+        for x in 0..row.len() {
+            let total = act.stall_edges(y, x);
             if total > best_stalls {
                 best_stalls = total;
                 best = (x, y);

@@ -53,8 +53,6 @@ pub fn run_report(name: impl Into<String>, kernel: Option<&str>, run: &CgraRun) 
                 suppressed_stall_edges: act.suppressed_stalls[y][x],
                 backpressure_stall_edges: act.backpressure_stalls[y][x],
                 gated_ticks: act.gated_ticks[y][x],
-                input_stalls: act.input_stalls[y][x],
-                output_stalls: act.output_stalls[y][x],
                 sram_accesses: act.sram_accesses[y][x],
             });
             queues.push(QueueReport {

@@ -99,7 +99,7 @@ fn json_report_round_trips_through_check_report() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("wrote report to"));
 
     let text = std::fs::read_to_string(&json).expect("report written");
-    assert!(text.contains("\"schema_version\": 3"), "{text}");
+    assert!(text.contains("\"schema_version\": 4"), "{text}");
     // The interactive CLI is the one writer that embeds wall-clock
     // phase timings.
     assert!(text.contains("\"timings\""), "{text}");
@@ -325,5 +325,47 @@ fn deeply_nested_loop_sources_are_an_error_not_an_abort() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
         assert!(stderr.contains(expect), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_cache_values_are_an_error_and_leave_the_cache_alone() {
+    let src = write_source("uecgra_cli_range_cache.loop", ACCUMULATE);
+    let cache = std::env::temp_dir().join("uecgra_cli_range_cache.json");
+    let _ = std::fs::remove_file(&cache);
+    let dse = || {
+        Command::new(bin())
+            .args(["dse", src.to_str().unwrap(), "--budget", "8", "--cache"])
+            .arg(&cache)
+            .output()
+            .expect("binary runs")
+    };
+    let out = dse();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let good = std::fs::read_to_string(&cache).expect("cache written");
+    let cases = [
+        ("energy_per_iter", "1e999", "number `1e999` is out of range"),
+        (
+            "throughput",
+            "-1",
+            "throughput -1 is not a finite positive number",
+        ),
+    ];
+    for (field, value, expect) in cases {
+        // Replace the first entry's value of `field`.
+        let at = good.find(&format!("\"{field}\": ")).expect("field present") + field.len() + 4;
+        let end = at + good[at..].find([',', '\n']).expect("value ends");
+        let bad = format!("{}{value}{}", &good[..at], &good[end..]);
+        std::fs::write(&cache, &bad).expect("write");
+        let out = dse();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{field} {value}: {stderr}");
+        assert!(stderr.contains(expect), "{field} {value}: {stderr}");
+        let after = std::fs::read_to_string(&cache).expect("cache kept");
+        assert_eq!(after, bad, "{field} {value}: the cache file was rewritten");
     }
 }

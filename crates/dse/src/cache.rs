@@ -156,14 +156,24 @@ impl EvalCache {
         };
         for (key, value) in entries {
             let key = Digest::parse(key).ok_or_else(|| format!("bad cache key `{key}`"))?;
-            let throughput = value
-                .get("throughput")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("entry {key}: missing throughput"))?;
-            let energy_per_iter = value
-                .get("energy_per_iter")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("entry {key}: missing energy_per_iter"))?;
+            // The model only measures finite, positive throughputs and
+            // energies; anything else would poison every search that
+            // reads the entry.
+            let field = |name: &str| {
+                let x = value
+                    .get(name)
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("entry {key}: missing {name}"))?;
+                if x.is_finite() && x > 0.0 {
+                    Ok(x)
+                } else {
+                    Err(format!(
+                        "entry {key}: {name} {x} is not a finite positive number"
+                    ))
+                }
+            };
+            let throughput = field("throughput")?;
+            let energy_per_iter = field("energy_per_iter")?;
             cache.insert(
                 key,
                 EnergyDelay {
@@ -253,5 +263,35 @@ mod tests {
             ("entries", Json::object(vec![("zz", Json::Uint(1))])),
         ]);
         assert!(EvalCache::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn entries_must_be_finite_and_positive() {
+        let key = digest_bytes(b"k").to_string();
+        let doc = |t: Json, e: Json| {
+            let entry = Json::object(vec![("energy_per_iter", e), ("throughput", t)]);
+            Json::object(vec![
+                ("cache_format_version", Json::Uint(CACHE_FORMAT_VERSION)),
+                ("entries", Json::Object(vec![(key.clone(), entry)])),
+            ])
+        };
+        assert!(EvalCache::from_json(&doc(Json::Float(0.5), Json::Float(2.0))).is_ok());
+        for (t, e, bad) in [
+            (Json::Int(-1), Json::Float(2.0), "throughput"),
+            (Json::Uint(0), Json::Float(2.0), "throughput"),
+            (
+                Json::Float(0.5),
+                Json::Float(f64::INFINITY),
+                "energy_per_iter",
+            ),
+            (Json::Float(0.5), Json::Float(f64::NAN), "energy_per_iter"),
+            (Json::Float(0.5), Json::Float(-2.0), "energy_per_iter"),
+        ] {
+            let err = EvalCache::from_json(&doc(t, e)).unwrap_err();
+            assert!(
+                err.contains(bad) && err.contains("finite positive"),
+                "{err}"
+            );
+        }
     }
 }

@@ -473,10 +473,17 @@ impl Parser<'_> {
                 return Ok(Json::Int(n));
             }
         }
-        text.parse::<f64>().map(Json::Float).map_err(|_| JsonError {
-            offset: start,
-            message: format!("invalid number `{text}`"),
-        })
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+            Ok(_) => Err(JsonError {
+                offset: start,
+                message: format!("number `{text}` is out of range"),
+            }),
+            Err(_) => Err(JsonError {
+                offset: start,
+                message: format!("invalid number `{text}`"),
+            }),
+        }
     }
 }
 
@@ -568,6 +575,20 @@ mod tests {
         let v = Json::Str("quote \" slash \\ tab \t ctrl \u{1} unicode é".into());
         let text = v.render();
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_with_an_offset() {
+        for (text, offset) in [("[1e999]", 1), ("{\"a\": -1e400}", 6)] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}");
+            assert!(err.message.contains("out of range"), "{err}");
+        }
+        // Integers past i64/u64 still parse, as finite floats.
+        let big = format!("1{}", "0".repeat(30));
+        assert_eq!(Json::parse(&big).unwrap(), Json::Float(1e30));
+        let huge = format!("1{}", "0".repeat(400));
+        assert_eq!(Json::parse(&huge).unwrap_err().offset, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::json::{Json, JsonError};
 
 /// Version stamp embedded in every report. Every section beyond the
 /// core fields (timings, fault campaign, dse) is optional.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// A schema-level decoding error (structurally valid JSON that does
 /// not describe a report).
@@ -203,10 +203,9 @@ impl PhaseTimings {
 /// ```
 ///
 /// holds for every PE (the conservation invariant, enforced by a
-/// property test over random kernels). `input_stalls`/`output_stalls`
-/// are the legacy per-cause event counts (one edge can count several)
-/// that the energy model prices; the edge classification is what the
-/// clock-gating analysis consumes.
+/// property test over random kernels). The three stall classes are
+/// what the energy model prices, one stall energy per edge; the gated
+/// edges are what the clock-gating analysis consumes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PeReport {
     /// Column.
@@ -235,10 +234,6 @@ pub struct PeReport {
     /// Idle edges: nothing to do, nothing blocked — the local clock
     /// could have been gated.
     pub gated_ticks: u64,
-    /// Legacy per-cause input-stall events (≥ stall edges).
-    pub input_stalls: u64,
-    /// Legacy per-cause output-stall events.
-    pub output_stalls: u64,
     /// SRAM accesses (memory PEs).
     pub sram_accesses: u64,
 }
@@ -275,8 +270,6 @@ impl PeReport {
                 Json::Uint(self.backpressure_stall_edges),
             ),
             ("gated_ticks", Json::Uint(self.gated_ticks)),
-            ("input_stalls", Json::Uint(self.input_stalls)),
-            ("output_stalls", Json::Uint(self.output_stalls)),
             ("sram_accesses", Json::Uint(self.sram_accesses)),
         ])
     }
@@ -300,8 +293,6 @@ impl PeReport {
             suppressed_stall_edges: req_u64(v, "suppressed_stall_edges")?,
             backpressure_stall_edges: req_u64(v, "backpressure_stall_edges")?,
             gated_ticks: req_u64(v, "gated_ticks")?,
-            input_stalls: req_u64(v, "input_stalls")?,
-            output_stalls: req_u64(v, "output_stalls")?,
             sram_accesses: req_u64(v, "sram_accesses")?,
         })
     }
@@ -827,8 +818,6 @@ mod tests {
                 suppressed_stall_edges: 9,
                 backpressure_stall_edges: 5,
                 gated_ticks: 5,
-                input_stalls: 31,
-                output_stalls: 6,
                 sram_accesses: 0,
             }],
             queues: vec![QueueReport {
@@ -896,7 +885,7 @@ mod tests {
         report.metrics.clear();
         let expected = "\
 {
-  \"schema_version\": 3,
+  \"schema_version\": 4,
   \"name\": \"dither/POpt\",
   \"kernel\": \"dither\",
   \"policy\": \"UE-CGRA POpt\",

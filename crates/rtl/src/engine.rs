@@ -63,34 +63,12 @@
 //! about to change (`Counters::flush_occupancy`), not on every edge.
 
 use crate::fabric::{
-    Activity, DirBits, EdgeTally, Fabric, FabricStop, FireEvent, Plan, SuppressorKind,
+    Activity, DirBits, EdgeClass, Fabric, FabricStop, FireEvent, Outcome, Plan, SuppressorKind,
 };
 use crate::queue::Token;
 use uecgra_clock::{ClockSet, VfMode};
 use uecgra_compiler::bitstream::{Dir, PeRole};
 use uecgra_dfg::Op;
-
-/// The five-way disposition of one local rising edge (mirrors the
-/// classification priority in the dense stepper's phase 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeClass {
-    Fire,
-    Backpressure,
-    Suppressed,
-    Operand,
-    Gated,
-}
-
-/// What one evaluated edge recorded: its class, its stall tallies,
-/// and the input queues it found without a visible token
-/// (`EdgeTally::starved`).
-#[derive(Debug, Clone, Copy)]
-struct Outcome {
-    class: EdgeClass,
-    in_stalls: u64,
-    out_stalls: u64,
-    starved: u8,
-}
 
 /// Per-PE scheduling state. (How many of its rising edges are already
 /// accounted for is `Counters::rising_edges`.)
@@ -226,8 +204,6 @@ impl SimClock {
 struct Counters {
     fires: Vec<u64>,
     bypass_tokens: Vec<u64>,
-    input_stalls: Vec<u64>,
-    output_stalls: Vec<u64>,
     rising_edges: Vec<u64>,
     fire_edges: Vec<u64>,
     operand_stalls: Vec<u64>,
@@ -250,8 +226,6 @@ impl Counters {
         Counters {
             fires: vec![0; n],
             bypass_tokens: vec![0; n],
-            input_stalls: vec![0; n],
-            output_stalls: vec![0; n],
             rising_edges: vec![0; n],
             fire_edges: vec![0; n],
             operand_stalls: vec![0; n],
@@ -305,8 +279,6 @@ fn catch_up(sched: &[PeSched], c: &mut Counters, idx: usize, edges: &[u64; 3]) {
     }
     let k = target - c.rising_edges[idx];
     c.rising_edges[idx] = target;
-    c.input_stalls[idx] += k * s.last.in_stalls;
-    c.output_stalls[idx] += k * s.last.out_stalls;
     match s.last.class {
         // A suppressed edge re-arms its PE and a fired one re-arms it
         // or replays its idle outcome, so a disarmed PE can only be
@@ -339,7 +311,7 @@ fn wake_producer(
 ) {
     if let Some(link) = fab.grid[pe].links[dir as usize] {
         let idx = link.pe;
-        if ready.contains(idx) || sched[idx].last.out_stalls == 0 {
+        if ready.contains(idx) || !sched[idx].last.out_stalled {
             return;
         }
         catch_up(sched, c, idx, &clock.edges);
@@ -431,12 +403,7 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
                 // (all domains rise there) before any replay happens.
                 // Gated PEs keep it: no output stall and nothing
                 // starved, so no wake ever arms them.
-                last: Outcome {
-                    class: EdgeClass::Gated,
-                    in_stalls: 0,
-                    out_stalls: 0,
-                    starved: 0,
-                },
+                last: Outcome::default(),
                 idle: None,
             }
         })
@@ -475,23 +442,9 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
             ready.drain_rising(&clock, &mut evaluated);
             for &idx in &evaluated {
                 c.rising_edges[idx] += 1;
-                let planned_before = plans.len();
-                let mut tally = EdgeTally::default();
-                fab.decide(idx, t, &mut plans, &mut tally);
+                let outcome = fab.decide(idx, t, &mut plans);
                 decides += 1;
-                c.input_stalls[idx] += tally.input_stalls;
-                c.output_stalls[idx] += tally.output_stalls;
-                let class = if plans.len() > planned_before {
-                    EdgeClass::Fire
-                } else if tally.output_stalls > 0 {
-                    EdgeClass::Backpressure
-                } else if tally.suppressed {
-                    EdgeClass::Suppressed
-                } else if tally.input_stalls > 0 {
-                    EdgeClass::Operand
-                } else {
-                    EdgeClass::Gated
-                };
+                let class = outcome.class;
                 match class {
                     EdgeClass::Fire => c.fire_edges[idx] += 1,
                     EdgeClass::Backpressure => c.backpressure_stalls[idx] += 1,
@@ -502,15 +455,11 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
                         c.domain_gated_ticks[sched[idx].clk as usize] += 1;
                     }
                 }
-                let outcome = Outcome {
-                    class,
-                    in_stalls: tally.input_stalls,
-                    out_stalls: tally.output_stalls,
-                    starved: tally.starved,
-                };
                 let s = &mut sched[idx];
                 s.last = outcome;
-                if always_armed || tally.suppressed || (traditional && has_pending_input(&fab, idx))
+                if always_armed
+                    || outcome.suppressed
+                    || (traditional && has_pending_input(&fab, idx))
                 {
                     ready.insert(s.clk, idx);
                 } else if class == EdgeClass::Fire {
@@ -708,8 +657,6 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
     let activity = Activity {
         fires: into_nested(c.fires, w),
         bypass_tokens: into_nested(c.bypass_tokens, w),
-        input_stalls: into_nested(c.input_stalls, w),
-        output_stalls: into_nested(c.output_stalls, w),
         rising_edges: into_nested(c.rising_edges, w),
         fire_edges: into_nested(c.fire_edges, w),
         operand_stalls: into_nested(c.operand_stalls, w),

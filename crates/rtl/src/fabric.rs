@@ -104,31 +104,23 @@ pub struct FireEvent {
 
 /// Per-PE activity counters for performance and energy analysis.
 ///
-/// Two families of counters coexist:
-///
-/// * **Event counts** (`input_stalls`, `output_stalls`) tally every
-///   stalled cause per rising edge — a PE whose compute starves while
-///   a bypass slot backpressures counts both. These feed the energy
-///   model's stall pricing.
-/// * **Edge classification** (`fire_edges`, `operand_stalls`,
-///   `suppressed_stalls`, `backpressure_stalls`, `gated_ticks`)
-///   assigns each local rising edge of a configured PE to exactly one
-///   disposition, by priority: fired (any compute or bypass plan) >
-///   backpressured (an output stalled) > suppressed (a token present
-///   but held by the bisynchronous suppressor or register aging) >
-///   operand-starved (waiting on data) > gateable idle. The five
-///   classes partition `rising_edges`, which is the conservation
-///   invariant the probe layer's property test checks.
+/// The edge classification (`fire_edges`, `operand_stalls`,
+/// `suppressed_stalls`, `backpressure_stalls`, `gated_ticks`) assigns
+/// each local rising edge of a configured PE to exactly one
+/// disposition, by priority: fired (any compute or bypass plan) >
+/// backpressured (an output stalled) > suppressed (a token present but
+/// held by the bisynchronous suppressor or register aging) >
+/// operand-starved (waiting on data) > gateable idle. The five classes
+/// partition `rising_edges`, which is the conservation invariant the
+/// probe layer's property test checks. The three stall classes are
+/// the stalled edges the energy model prices
+/// ([`Activity::stall_edges`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Activity {
     /// Op firings per PE (`[row][col]`).
     pub fires: Vec<Vec<u64>>,
     /// Bypass tokens forwarded per PE.
     pub bypass_tokens: Vec<Vec<u64>>,
-    /// Stalled input causes per rising edge (event count).
-    pub input_stalls: Vec<Vec<u64>>,
-    /// Stalled output causes per rising edge (event count).
-    pub output_stalls: Vec<Vec<u64>>,
     /// Local rising edges observed per configured PE.
     pub rising_edges: Vec<Vec<u64>>,
     /// Edges on which the PE fired and/or forwarded at least once.
@@ -198,6 +190,12 @@ impl Activity {
     /// Run length in nominal cycles.
     pub fn nominal_cycles(&self) -> f64 {
         self.clocks.pll_to_nominal_cycles(self.ticks)
+    }
+
+    /// Stalled rising edges of PE `(x, y)`: its operand, suppressed and
+    /// backpressure edges. Each is one clock edge that fired nothing.
+    pub fn stall_edges(&self, y: usize, x: usize) -> u64 {
+        self.operand_stalls[y][x] + self.suppressed_stalls[y][x] + self.backpressure_stalls[y][x]
     }
 }
 
@@ -298,21 +296,32 @@ pub(crate) enum Plan {
     },
 }
 
-/// Per-edge stall bookkeeping for one PE's decision pass: the legacy
-/// per-cause event counts plus the flags the edge classifier and the
-/// event engine's wake rules need.
-#[derive(Debug, Default)]
-pub(crate) struct EdgeTally {
-    /// Stalled input causes this edge (legacy event count).
-    pub(crate) input_stalls: u64,
-    /// Stalled output causes this edge (legacy event count).
-    pub(crate) output_stalls: u64,
+/// The disposition of one local rising edge (the priority is the
+/// variant order; see [`Activity`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum EdgeClass {
+    Fire,
+    Backpressure,
+    Suppressed,
+    Operand,
+    #[default]
+    Gated,
+}
+
+/// What [`Fabric::decide`] found on one edge: its class, plus the
+/// flags the event engine's wake rules need.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Outcome {
+    pub(crate) class: EdgeClass,
+    /// Some output refused a token (whether or not the PE fired): a
+    /// pop downstream may change the outcome.
+    pub(crate) out_stalled: bool,
     /// Some required token was present but held by the suppressor /
-    /// register aging.
+    /// register aging (whatever the class), so it may age next edge.
     pub(crate) suppressed: bool,
     /// The input queues (a bitmask over `Dir`) this pass read and found
     /// no visible token in: a bypass source or a queue operand. A push
-    /// into any other queue leaves the pass's outcome unchanged.
+    /// into any other queue leaves the outcome unchanged.
     pub(crate) starved: u8,
 }
 
@@ -581,8 +590,6 @@ impl Fabric {
         let (w, h) = (self.width, self.height);
         let mut fires = vec![vec![0u64; w]; h];
         let mut bypass_tokens = vec![vec![0u64; w]; h];
-        let mut input_stalls = vec![vec![0u64; w]; h];
-        let mut output_stalls = vec![vec![0u64; w]; h];
         let mut rising_edges = vec![vec![0u64; w]; h];
         let mut fire_edges = vec![vec![0u64; w]; h];
         let mut operand_stalls = vec![vec![0u64; w]; h];
@@ -630,22 +637,15 @@ impl Fabric {
                     for q in &self.grid[idx].queues {
                         queue_occupancy[y][x][q.len().min(occupancy_buckets - 1)] += 1;
                     }
-                    let planned_before = plans.len();
-                    let mut tally = EdgeTally::default();
-                    self.decide(idx, t, &mut plans, &mut tally);
-                    input_stalls[y][x] += tally.input_stalls;
-                    output_stalls[y][x] += tally.output_stalls;
-                    if plans.len() > planned_before {
-                        fire_edges[y][x] += 1;
-                    } else if tally.output_stalls > 0 {
-                        backpressure_stalls[y][x] += 1;
-                    } else if tally.suppressed {
-                        suppressed_stalls[y][x] += 1;
-                    } else if tally.input_stalls > 0 {
-                        operand_stalls[y][x] += 1;
-                    } else {
-                        gated_ticks[y][x] += 1;
-                        domain_gated_ticks[clk as usize] += 1;
+                    match self.decide(idx, t, &mut plans).class {
+                        EdgeClass::Fire => fire_edges[y][x] += 1,
+                        EdgeClass::Backpressure => backpressure_stalls[y][x] += 1,
+                        EdgeClass::Suppressed => suppressed_stalls[y][x] += 1,
+                        EdgeClass::Operand => operand_stalls[y][x] += 1,
+                        EdgeClass::Gated => {
+                            gated_ticks[y][x] += 1;
+                            domain_gated_ticks[clk as usize] += 1;
+                        }
                     }
                 }
             }
@@ -784,8 +784,6 @@ impl Fabric {
         Activity {
             fires,
             bypass_tokens,
-            input_stalls,
-            output_stalls,
             rising_edges,
             fire_edges,
             operand_stalls,
@@ -807,16 +805,40 @@ impl Fabric {
         }
     }
 
-    pub(crate) fn decide(&self, pe: usize, t: u64, plans: &mut Vec<Plan>, tally: &mut EdgeTally) {
+    /// Decide PE `pe`'s actions on its rising edge at `t`, appending
+    /// them to `plans`, and classify the edge. Both engines count the
+    /// class this returns; nothing else classifies an edge.
+    pub(crate) fn decide(&self, pe: usize, t: u64, plans: &mut Vec<Plan>) -> Outcome {
+        let planned_before = plans.len();
+        let mut out = Outcome::default();
+        let in_stalled = self.plan_edge(pe, t, plans, &mut out);
+        out.class = if plans.len() > planned_before {
+            EdgeClass::Fire
+        } else if out.out_stalled {
+            EdgeClass::Backpressure
+        } else if out.suppressed {
+            EdgeClass::Suppressed
+        } else if in_stalled {
+            EdgeClass::Operand
+        } else {
+            EdgeClass::Gated
+        };
+        out
+    }
+
+    /// [`Fabric::decide`]'s planning pass: pushes the edge's plans,
+    /// sets the flags of `out` and returns whether an input stalled.
+    fn plan_edge(&self, pe: usize, t: u64, plans: &mut Vec<Plan>, out: &mut Outcome) -> bool {
         let state = &self.grid[pe];
         let cfg = &state.config;
         let period = state.period;
+        let mut in_stalled = false;
 
         // An injected domain stall withholds this PE's clock: the edge
         // does nothing and classifies as gated (the clock never rose,
         // as far as the PE is concerned).
         if self.faults.domain_stalled(cfg.clk, t) {
-            return;
+            return false;
         }
 
         // Bypass slots (independent of compute; paper: compute and
@@ -833,19 +855,19 @@ impl Fabric {
                             value,
                         });
                     } else {
-                        tally.output_stalls += 1;
+                        out.out_stalled = true;
                     }
                 }
                 None => {
-                    tally.starved |= 1 << slot.src as u8;
+                    out.starved |= 1 << slot.src as u8;
                     if !state.queues[slot.src as usize].is_empty() {
                         // Token present but not yet aged (a suppressed
                         // unsafe-edge handshake) or already taken by
                         // this user (waiting on the eager fork's other
                         // consumers).
-                        tally.input_stalls += 1;
+                        in_stalled = true;
                         if state.queues[slot.src as usize].front_pending_for(i + 1) {
-                            tally.suppressed = true;
+                            out.suppressed = true;
                         }
                     }
                 }
@@ -853,7 +875,7 @@ impl Fabric {
         }
 
         let PeRole::Compute(op) = cfg.role else {
-            return;
+            return in_stalled;
         };
 
         // Phi bootstrap.
@@ -870,9 +892,9 @@ impl Fabric {
                     init_value: cfg.init.expect("init_pending implies init"),
                 });
             } else {
-                tally.output_stalls += 1;
+                out.out_stalled = true;
             }
-            return;
+            return in_stalled;
         }
 
         // Operand gathering.
@@ -920,15 +942,14 @@ impl Fabric {
                         break;
                     }
                     Err(cause) => {
-                        tally.starved |= queue_bit(cfg.operands[port]);
+                        out.starved |= queue_bit(cfg.operands[port]);
                         any_suppressed |= cause == StallCause::Suppressed;
                     }
                 }
             }
             if !found {
-                tally.input_stalls += 1;
-                tally.suppressed |= any_suppressed;
-                return;
+                out.suppressed |= any_suppressed;
+                return true;
             }
         } else {
             let arity = op.arity().max(1);
@@ -945,10 +966,9 @@ impl Fabric {
                         *slot = v;
                     }
                     Err(cause) => {
-                        tally.starved |= queue_bit(cfg.operands[port]);
-                        tally.input_stalls += 1;
-                        tally.suppressed |= cause == StallCause::Suppressed;
-                        return;
+                        out.starved |= queue_bit(cfg.operands[port]);
+                        out.suppressed |= cause == StallCause::Suppressed;
+                        return true;
                     }
                 }
             }
@@ -965,14 +985,14 @@ impl Fabric {
             0
         };
         if !self.mask_ready(pe, state.outputs[out_port as usize], t) {
-            tally.output_stalls += 1;
-            return;
+            out.out_stalled = true;
+            return in_stalled;
         }
         // Register write needs the slot free (capacity-one buffer),
         // unless this very firing consumes it.
         if cfg.reg_write && out_port == 0 && state.reg.is_some() && !consume_reg {
-            tally.output_stalls += 1;
-            return;
+            out.out_stalled = true;
+            return in_stalled;
         }
 
         plans.push(Plan::Compute {
@@ -985,6 +1005,7 @@ impl Fabric {
             is_init: false,
             init_value: 0,
         });
+        in_stalled
     }
 }
 
@@ -1092,8 +1113,7 @@ mod tests {
         });
         // At t=3 the phi can fire by consuming the reg (consume+write).
         let mut plans = Vec::new();
-        let mut tally = EdgeTally::default();
-        f.decide(0, 3, &mut plans, &mut tally);
+        assert_eq!(f.decide(0, 3, &mut plans).class, EdgeClass::Fire);
         assert_eq!(plans.len(), 1, "reg consume-and-write is legal");
         match &plans[0] {
             Plan::Compute { consume_reg, .. } => assert!(consume_reg),

@@ -33,8 +33,6 @@ fn field_lines(case: &str, act: &Activity) -> Vec<String> {
     let Activity {
         fires,
         bypass_tokens,
-        input_stalls,
-        output_stalls,
         rising_edges,
         fire_edges,
         operand_stalls,
@@ -54,11 +52,9 @@ fn field_lines(case: &str, act: &Activity) -> Vec<String> {
         events,
         protocol,
     } = act;
-    let fields: [(&str, String); 22] = [
+    let fields: [(&str, String); 20] = [
         ("fires", format!("{fires:?}")),
         ("bypass_tokens", format!("{bypass_tokens:?}")),
-        ("input_stalls", format!("{input_stalls:?}")),
-        ("output_stalls", format!("{output_stalls:?}")),
         ("rising_edges", format!("{rising_edges:?}")),
         ("fire_edges", format!("{fire_edges:?}")),
         ("operand_stalls", format!("{operand_stalls:?}")),

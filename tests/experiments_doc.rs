@@ -1,7 +1,11 @@
 //! EXPERIMENTS.md states the reproduction's measured numbers by hand;
 //! this test holds its Table II to the committed `reproduce_output.txt`
-//! (the `reproduce_all` snapshot), so a stale cell fails the build the
+//! (the `reproduce_all` snapshot), and the snapshot's Table II to the
+//! table the code computes now, so a stale cell fails the build the
 //! way a golden file does.
+
+use uecgra_core::experiments::{table2, SEED};
+use uecgra_dfg::kernels;
 
 /// Kernel name and the four measured cells (EOpt perf, EOpt eff, POpt
 /// perf, POpt eff) as printed.
@@ -68,4 +72,24 @@ fn experiments_table2_matches_the_snapshot() {
     assert_eq!(snapshot.len(), 5, "five Table II kernels in the snapshot");
     assert!(snapshot.iter().all(|(_, cells)| cells.len() == 4));
     assert_eq!(doc_rows(&read("EXPERIMENTS.md")), snapshot);
+}
+
+#[test]
+fn the_snapshot_table2_matches_the_code() {
+    let computed: Vec<Row> = table2(&kernels::all_kernels(), SEED)
+        .expect("Table II kernels compile and run")
+        .iter()
+        .map(|r| {
+            let cells = [r.eopt_perf, r.eopt_eff, r.popt_perf, r.popt_eff];
+            (
+                r.kernel.to_string(),
+                cells.map(|x| format!("{x:.2}")).to_vec(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        snapshot_rows(&read("reproduce_output.txt")),
+        computed,
+        "reproduce_output.txt is stale: re-capture it (and EXPERIMENTS.md's Table II)"
+    );
 }
