@@ -7,28 +7,14 @@
 //! bounded as unused area grows.
 
 use uecgra_bench::{header, json_path, write_reports};
-use uecgra_clock::VfMode;
-use uecgra_compiler::bitstream::{Bitstream, PeRole};
+use uecgra_clock::ClockSet;
+use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
 use uecgra_vlsi::area::CgraKind;
 use uecgra_vlsi::clock_power::{clock_power, ClockPowerParams, GatingConfig};
-
-fn clock_grid(bs: &Bitstream) -> Vec<Vec<Option<VfMode>>> {
-    bs.grid
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|cfg| match cfg.role {
-                    PeRole::Gated => None,
-                    _ => Some(cfg.clk),
-                })
-                .collect()
-        })
-        .collect()
-}
 
 fn main() {
     let json = json_path();
@@ -48,7 +34,7 @@ fn main() {
         };
         let mapped = MappedKernel::map(&k.dfg, shape, 7).expect("maps");
         let bs = Bitstream::assemble(&k.dfg, &mapped, &pm.node_modes).expect("assembles");
-        let grid = clock_grid(&bs);
+        let grid = bs.clock_grid();
         // Scale the full-tree network power with array area (buffers
         // grow with the spanned region).
         let scale = (dim * dim) as f64 / 64.0;
@@ -57,13 +43,10 @@ fn main() {
             e_global_net_mw: 0.24 * scale,
             ..ClockPowerParams::default()
         };
-        let ungated = clock_power(
-            CgraKind::UltraElastic,
-            &params,
-            &grid,
-            GatingConfig::POWER_ONLY,
-        );
-        let gated = clock_power(CgraKind::UltraElastic, &params, &grid, GatingConfig::FULL);
+        let clocks = ClockSet::default();
+        let power = |gating| clock_power(CgraKind::UltraElastic, &params, &clocks, &grid, gating);
+        let ungated = power(GatingConfig::POWER_ONLY);
+        let gated = power(GatingConfig::FULL);
         let used = grid.iter().flatten().filter(|m| m.is_some()).count();
         let line = format!(
             "{:<8} {:>10} {:>12.2} {:>12.2} {:>13.0}%",

@@ -2,6 +2,7 @@
 //! variants.
 
 use uecgra_bench::{header, json_path, write_reports};
+use uecgra_clock::NOMINAL_CYCLE_NS;
 use uecgra_core::report::metrics_report;
 use uecgra_vlsi::area::{pe_area, CgraKind, FIG10_CYCLE_TIMES};
 
@@ -23,9 +24,9 @@ fn main() {
         }
         println!();
     }
-    let ie = pe_area(CgraKind::Inelastic, 4.0 / 3.0);
-    let e = pe_area(CgraKind::Elastic, 4.0 / 3.0);
-    let ue = pe_area(CgraKind::UltraElastic, 4.0 / 3.0);
+    let ie = pe_area(CgraKind::Inelastic, NOMINAL_CYCLE_NS);
+    let e = pe_area(CgraKind::Elastic, NOMINAL_CYCLE_NS);
+    let ue = pe_area(CgraKind::UltraElastic, NOMINAL_CYCLE_NS);
     println!(
         "\nat 750 MHz: E-CGRA overhead {:.0}% (paper 14%), UE-CGRA {:.0}% (paper 17%)",
         (e / ie - 1.0) * 100.0,

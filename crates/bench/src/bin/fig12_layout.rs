@@ -1,8 +1,9 @@
 //! Figure 12: full 8x8 array layouts at 750 MHz.
 
 use uecgra_bench::{header, json_path, write_reports};
+use uecgra_clock::NOMINAL_CYCLE_NS;
 use uecgra_core::report::metrics_report;
-use uecgra_vlsi::area::{CgraKind, REFERENCE_CYCLE_NS};
+use uecgra_vlsi::area::CgraKind;
 use uecgra_vlsi::layout::{array_area_um2, edge_um};
 
 fn main() {
@@ -19,14 +20,14 @@ fn main() {
             "{:<10} {:>12.0} {:>14.0}   {:.0}x{:.0} um",
             kind.label(),
             edge_um(*kind),
-            array_area_um2(*kind, 64, REFERENCE_CYCLE_NS),
+            array_area_um2(*kind, 64, NOMINAL_CYCLE_NS),
             p,
             p
         );
         metrics.push((format!("edge_{}_um", kind.label()), edge_um(*kind)));
         metrics.push((
             format!("area_{}_um2", kind.label()),
-            array_area_um2(*kind, 64, REFERENCE_CYCLE_NS),
+            array_area_um2(*kind, 64, NOMINAL_CYCLE_NS),
         ));
     }
     if let Some(path) = json {

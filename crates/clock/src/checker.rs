@@ -199,8 +199,8 @@ mod tests {
         // every 2. Margins: capture 3 ← launch 2 (1, unsafe), 6 ← 4 (2,
         // unsafe), 9 ← 8 (1, unsafe), 12 ← 10 (2, unsafe), 15 ← 14 (1,
         // unsafe), 0 ← 16 of prev hyper (2, unsafe). All unsafe! The
-        // suppressor's elasticity-awareness is what keeps such crossings
-        // flowing (see `suppressor`).
+        // fabric's elasticity-aware suppressor, which reads any token
+        // aged one receiver period, is what keeps such crossings flowing.
         let c = default_clocks();
         let lut = UnsafeLut::build(&c, VfMode::Sprint, VfMode::Nominal);
         assert!(lut.bits.iter().all(|&b| b));

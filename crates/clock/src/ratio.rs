@@ -1,13 +1,23 @@
-//! Rational clock sets.
+//! Rational clock sets and the operating-point table.
 //!
 //! The UE-CGRA derives all PE clocks from one PLL by integer division
 //! (paper Section V). The published design point divides by
 //! **2 / 3 / 9**: sprint = PLL/2, nominal = PLL/3, rest = PLL/9, giving
 //! sprint = 1.5× and rest = 1/3× the nominal frequency — the
 //! "2-to-3-to-9" ratio the paper selects after quantizing the SPICE-fit
-//! voltages (0.61 V, 0.90 V, 1.23 V).
+//! voltages. This module is the one place that design point is
+//! written: the per-mode supply voltages ([`VfMode::voltage`]), the
+//! nominal frequency ([`NOMINAL_MHZ`]) and the divisors
+//! ([`ClockSet::default`]), which together give rest / nominal / sprint
+//! = 0.61 / 0.90 / 1.23 V at 250 / 750 / 1125 MHz in TSMC 28 nm.
 
 use std::fmt;
+
+/// Nominal-mode clock frequency of the published design point (MHz).
+pub const NOMINAL_MHZ: f64 = 750.0;
+
+/// One nominal clock cycle in nanoseconds (4/3 ns at 750 MHz).
+pub const NOMINAL_CYCLE_NS: f64 = 1000.0 / NOMINAL_MHZ;
 
 /// The three DVFS operating modes of a UE-CGRA PE.
 ///
@@ -35,6 +45,28 @@ impl VfMode {
     /// Frequency multiplier relative to nominal in `clocks`.
     pub fn speedup_over_nominal(self, clocks: &ClockSet) -> f64 {
         clocks.frequency_ratio(self, VfMode::Nominal)
+    }
+
+    /// Supply voltage of the mode (V), quantized so the default clock
+    /// plan's 9:3:2 divisors give its frequency (paper Section V).
+    pub fn voltage(self) -> f64 {
+        match self {
+            VfMode::Rest => 0.61,
+            VfMode::Nominal => 0.90,
+            VfMode::Sprint => 1.23,
+        }
+    }
+
+    /// Static-power scale versus nominal: `V / VN` (constant leakage
+    /// current, paper Section II-B).
+    pub fn static_scale(self) -> f64 {
+        self.voltage() / VfMode::Nominal.voltage()
+    }
+
+    /// Dynamic-energy scale versus nominal: `(V / VN)²`.
+    pub fn dynamic_scale(self) -> f64 {
+        let r = self.static_scale();
+        r * r
     }
 }
 
@@ -215,6 +247,21 @@ mod tests {
         assert_eq!(c.divisor(VfMode::Nominal), 3);
         assert_eq!(c.divisor(VfMode::Sprint), 2);
         assert_eq!(c.hyperperiod(), 18);
+    }
+
+    #[test]
+    fn operating_points_match_paper() {
+        // Section V: rest / nominal / sprint at 0.61 / 0.90 / 1.23 V
+        // run at 250 / 750 / 1125 MHz under the 9:3:2 plan.
+        let c = ClockSet::default();
+        let expect = [(0.61, 250.0), (0.90, 750.0), (1.23, 1125.0)];
+        for (mode, (volts, mhz)) in VfMode::ALL.into_iter().zip(expect) {
+            assert_eq!(mode.voltage(), volts, "{mode}");
+            let f =
+                NOMINAL_MHZ * f64::from(c.divisor(VfMode::Nominal)) / f64::from(c.divisor(mode));
+            assert_eq!(f, mhz, "{mode}");
+        }
+        assert_eq!(NOMINAL_CYCLE_NS, 4.0 / 3.0);
     }
 
     #[test]

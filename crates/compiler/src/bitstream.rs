@@ -437,6 +437,18 @@ impl Bitstream {
             .collect()
     }
 
+    /// Per-PE clock selections, `[row][col]` (`None` = power-gated).
+    pub fn clock_grid(&self) -> Vec<Vec<Option<VfMode>>> {
+        self.grid
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|cfg| (cfg.role != PeRole::Gated).then_some(cfg.clk))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Count of PEs by role: `(compute, route_only, gated)`.
     pub fn role_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);

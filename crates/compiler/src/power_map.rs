@@ -21,7 +21,7 @@ use crate::mapping::MappedKernel;
 use uecgra_clock::VfMode;
 use uecgra_dfg::analysis::Grouping;
 use uecgra_dfg::{Dfg, NodeId};
-use uecgra_model::{EnergyDelay, EnergyDelayEstimator, ModelParams};
+use uecgra_model::{EnergyDelay, EnergyDelayEstimator};
 
 /// Whether the seed configuration maximizes performance (all-sprint,
 /// the paper's "POpt") or energy (all-nominal, "EOpt").
@@ -92,16 +92,14 @@ pub fn power_map_routed(
 ) -> PowerMapping {
     let estimator =
         EnergyDelayEstimator::new(dfg, mem, marker).with_edge_latency(edge_extra_hops.to_vec());
-    power_map_with(dfg, estimator.params(), objective, |m| estimator.measure(m))
+    power_map_with(dfg, objective, |m| estimator.measure(m))
 }
 
 /// Phases 1–2 of the pass with the measurement supplied by the caller:
-/// `measure` is `MeasureEnergyDelay` for one per-node assignment, and
-/// `params` gives the energy weights that order the greedy walk. The
+/// `measure` is `MeasureEnergyDelay` for one per-node assignment. The
 /// DSE passes a measurement that reads and fills its evaluation cache.
 pub fn power_map_with(
     dfg: &Dfg,
-    params: &ModelParams,
     objective: Objective,
     mut measure: impl FnMut(&[VfMode]) -> EnergyDelay,
 ) -> PowerMapping {
@@ -118,15 +116,7 @@ pub fn power_map_with(
         grouping
             .members(g)
             .iter()
-            .map(|&n| {
-                let op = dfg.node(n).op;
-                op.alpha()
-                    + if op.is_memory() {
-                        params.alpha_sram
-                    } else {
-                        0.0
-                    }
-            })
+            .map(|&n| dfg.node(n).op.alpha_with_sram())
             .sum()
     };
     ordered.sort_by(|&a, &b| {

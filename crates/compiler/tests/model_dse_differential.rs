@@ -7,11 +7,11 @@
 //! A failing case prints its seed; `UECGRA_CHECK_SEED=<seed>` replays
 //! it alone.
 
-use uecgra_clock::VfMode;
+use uecgra_clock::{ClockSet, VfMode};
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_dfg::analysis::Grouping;
 use uecgra_dfg::kernels::{self, Kernel};
-use uecgra_model::{DfgSimulator, EnergyDelayEstimator, ModelParams, SimConfig};
+use uecgra_model::{DfgSimulator, EnergyDelayEstimator, SimConfig};
 use uecgra_util::check::forall;
 
 /// A paper kernel with what the explorer sees of it.
@@ -47,7 +47,7 @@ fn mapped_kernels() -> Vec<Mapped> {
 #[test]
 fn run_matches_the_reference_on_dse_shaped_inputs() {
     let cases = mapped_kernels();
-    let clocks = ModelParams::default().clocks;
+    let clocks = ClockSet::default();
     forall(150, |rng| {
         let m = &cases[rng.range(cases.len())];
         let k = &m.kernel;

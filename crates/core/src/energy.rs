@@ -10,7 +10,7 @@
 use crate::pipeline::{CgraRun, Policy};
 use uecgra_clock::VfMode;
 use uecgra_vlsi::area::CgraKind;
-use uecgra_vlsi::clock_power::{clock_power_from_edges, ClockPowerParams, GatingConfig};
+use uecgra_vlsi::clock_power::{clock_power, ClockPowerParams, GatingConfig};
 use uecgra_vlsi::energy::{bypass_energy_pj, op_energy_pj, stall_energy_pj};
 use uecgra_vlsi::ClockPowerBreakdown;
 
@@ -59,25 +59,6 @@ pub fn kind_of(policy: Policy) -> CgraKind {
     }
 }
 
-/// Per-PE clock-selection grid of a run (`None` = power-gated).
-pub fn clock_grid(run: &CgraRun) -> Vec<Vec<Option<VfMode>>> {
-    run.bitstream
-        .grid
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|cfg| {
-                    use uecgra_compiler::bitstream::PeRole;
-                    match cfg.role {
-                        PeRole::Gated => None,
-                        _ => Some(cfg.clk),
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Account the energy of a finished run under the given gating.
 #[allow(clippy::needless_range_loop)] // (x, y) grid indexing reads clearer
 pub fn cgra_energy(run: &CgraRun, gating: GatingConfig) -> CgraEnergy {
@@ -108,17 +89,12 @@ pub fn cgra_energy(run: &CgraRun, gating: GatingConfig) -> CgraEnergy {
         }
     }
 
-    // Clock power from the probe layer's measured per-domain edge
-    // counters (bit-identical to the hand frequency ratios for any
-    // run covering a full hyperperiod; see
-    // `clock_power_from_edges`).
-    let grid = clock_grid(run);
-    let clock = clock_power_from_edges(
+    let clock = clock_power(
         kind,
         &ClockPowerParams::default(),
-        &grid,
+        &act.clocks,
+        &run.bitstream.clock_grid(),
         gating,
-        run.activity.domain_edges_hyper,
     );
     let runtime_ns = run.runtime_ns();
     let clock_pj = (clock.total_clock_mw() + clock.idle_logic_mw + clock.leakage_mw) * runtime_ns;
@@ -142,7 +118,7 @@ pub fn cgra_energy(run: &CgraRun, gating: GatingConfig) -> CgraEnergy {
 pub fn global_scale_point(run: &CgraRun, gating: GatingConfig, v: f64, f: f64) -> (f64, f64) {
     let base = cgra_energy(run, gating);
     let dyn_pj: f64 = base.pe_logic_pj.iter().flatten().sum();
-    let vn = 0.90;
+    let vn = VfMode::Nominal.voltage();
     let scaled_dyn = dyn_pj * (v / vn) * (v / vn);
     // Clock power scales like dynamic power (f × V²); over 1/f longer
     // runtime the energy scales by (V/VN)² only. Idle/static parts
@@ -172,30 +148,6 @@ mod tests {
         assert!(e.total_pj() > 0.0);
         assert!(e.per_iteration_pj() > 1.0);
         assert!(e.average_power_mw() > 0.0 && e.average_power_mw() < 50.0);
-    }
-
-    #[test]
-    fn measured_clock_path_matches_hand_ratios_exactly() {
-        // The acceptance bar for the probe-driven clock-power path:
-        // for every policy and gating row of Table I, the breakdown
-        // computed from the run's measured `domain_edges_hyper` is
-        // bit-identical to the hand-computed frequency-ratio path.
-        use uecgra_vlsi::clock_power::clock_power;
-        for policy in Policy::ALL {
-            let run = dither_run(policy);
-            assert_eq!(run.activity.domain_edges_hyper, [2, 6, 9]);
-            let grid = clock_grid(&run);
-            for gating in [
-                GatingConfig::NONE,
-                GatingConfig::POWER_ONLY,
-                GatingConfig::FULL,
-            ] {
-                let hand =
-                    clock_power(kind_of(policy), &ClockPowerParams::default(), &grid, gating);
-                let measured = cgra_energy(&run, gating).clock;
-                assert_eq!(measured, hand, "{policy:?}/{gating:?}");
-            }
-        }
     }
 
     #[test]

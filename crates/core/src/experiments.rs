@@ -151,17 +151,19 @@ pub struct FrontierPoint {
 /// its II.
 pub fn figure13(runs: &KernelRuns) -> Result<Vec<FrontierPoint>, Error> {
     let g = GatingConfig::FULL;
-    // Global E-CGRA scaling: (V, f) pairs from the figure caption.
+    // Global E-CGRA scaling: (V, f) pairs from the figure caption; the
+    // three modes come from the operating-point table.
+    let mode = |m: VfMode| (m.voltage(), m.speedup_over_nominal(&runs.e.activity.clocks));
     let globals = [
-        ("rest", 0.61, 1.0 / 3.0),
-        ("low", 0.80, 2.0 / 3.0),
-        ("nominal", 0.90, 1.0),
-        ("high", 1.00, 4.0 / 3.0),
-        ("sprint", 1.23, 1.5),
+        ("rest", mode(VfMode::Rest)),
+        ("low", (0.80, 2.0 / 3.0)),
+        ("nominal", mode(VfMode::Nominal)),
+        ("high", (1.00, 4.0 / 3.0)),
+        ("sprint", mode(VfMode::Sprint)),
     ];
     let mut points: Vec<FrontierPoint> = globals
         .iter()
-        .map(|&(label, v, f)| {
+        .map(|&(label, (v, f))| {
             let (perf, eff) = global_scale_point(&runs.e, g, v, f);
             FrontierPoint { label, perf, eff }
         })
@@ -334,7 +336,7 @@ pub struct EnergyContour {
 pub fn energy_contour(run: &CgraRun, label: &'static str) -> EnergyContour {
     use uecgra_compiler::bitstream::PeRole;
     let e = cgra_energy(run, GatingConfig::FULL);
-    let modes = crate::energy::clock_grid(run);
+    let modes = run.bitstream.clock_grid();
     let ops = run
         .bitstream
         .grid

@@ -36,7 +36,7 @@
 //! three policies from that mapping.
 
 use crate::error::Error;
-use uecgra_clock::VfMode;
+use uecgra_clock::{VfMode, NOMINAL_CYCLE_NS};
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map_routed, Objective};
@@ -105,7 +105,7 @@ impl CgraRun {
 
     /// Wall-clock compute time in nanoseconds (750 MHz nominal).
     pub fn runtime_ns(&self) -> f64 {
-        self.activity.nominal_cycles() * (4.0 / 3.0)
+        self.activity.nominal_cycles() * NOMINAL_CYCLE_NS
     }
 }
 

@@ -73,7 +73,6 @@ pub fn run_report(name: impl Into<String>, kernel: Option<&str>, run: &CgraRun) 
         ii: act.steady_ii(8),
         stop: format!("{:?}", act.stop),
         domain_edges: act.domain_edges,
-        domain_edges_hyper: act.domain_edges_hyper,
         domain_gated_ticks: act.domain_gated_ticks,
         pes,
         queues,

@@ -2,6 +2,7 @@
 
 use std::io::Write as _;
 use std::process::Command;
+use uecgra_dse::CACHE_FORMAT_VERSION;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_uecgra")
@@ -99,7 +100,7 @@ fn json_report_round_trips_through_check_report() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("wrote report to"));
 
     let text = std::fs::read_to_string(&json).expect("report written");
-    assert!(text.contains("\"schema_version\": 4"), "{text}");
+    assert!(text.contains("\"schema_version\": 5"), "{text}");
     // The interactive CLI is the one writer that embeds wall-clock
     // phase timings.
     assert!(text.contains("\"timings\""), "{text}");
@@ -368,4 +369,40 @@ fn out_of_range_cache_values_are_an_error_and_leave_the_cache_alone() {
         let after = std::fs::read_to_string(&cache).expect("cache kept");
         assert_eq!(after, bad, "{field} {value}: the cache file was rewritten");
     }
+}
+
+#[test]
+fn version_1_cache_files_are_an_error_and_left_alone() {
+    let src = write_source("uecgra_cli_v1_cache.loop", ACCUMULATE);
+    let cache = std::env::temp_dir().join("uecgra_cli_v1_cache.json");
+    let _ = std::fs::remove_file(&cache);
+    let dse = || {
+        Command::new(bin())
+            .args(["dse", src.to_str().unwrap(), "--budget", "8", "--cache"])
+            .arg(&cache)
+            .output()
+            .expect("binary runs")
+    };
+    let out = dse();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The same entries under the version-1 stamp: their keys were
+    // derived the old way, so loading them would only add dead entries.
+    let current = format!("\"cache_format_version\": {CACHE_FORMAT_VERSION}");
+    let good = std::fs::read_to_string(&cache).expect("cache written");
+    assert!(good.contains(&current), "{good}");
+    let old = good.replace(&current, "\"cache_format_version\": 1");
+    std::fs::write(&cache, &old).expect("write");
+    let out = dse();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unsupported cache format version 1"),
+        "{stderr}"
+    );
+    let after = std::fs::read(&cache).expect("cache kept");
+    assert_eq!(after, old.as_bytes(), "the cache file was rewritten");
 }

@@ -30,4 +30,4 @@ pub mod transform;
 
 pub use graph::{Dfg, Edge, EdgeId, GraphError, Node, NodeId};
 pub use kernels::Kernel;
-pub use op::{Op, PE_OPS};
+pub use op::{Op, ALPHA_SRAM, PE_OPS};

@@ -229,9 +229,9 @@ impl Op {
     /// normalized to `mul == 1.0` (paper Section II-C alpha table).
     ///
     /// `Phi`/`Br`/`Nop` route data without exercising the ALU datapath, so
-    /// they are charged at the bypass factor. Memory ops are charged their
-    /// SRAM access cost in addition by the energy model (alpha_sram is per
-    /// subbank, applied at the power-model level, not here).
+    /// they are charged at the bypass factor. Memory ops pay
+    /// [`ALPHA_SRAM`] per subbank access on top (see
+    /// [`alpha_with_sram`](Op::alpha_with_sram)).
     pub fn alpha(self) -> f64 {
         match self {
             Op::Mul => 1.0,
@@ -246,12 +246,23 @@ impl Op {
             Op::Gt | Op::Geq | Op::Lt | Op::Leq => 0.25,
             Op::Phi | Op::Br | Op::Nop => 0.11,
             // Loads/stores exercise the address datapath like a copy; the
-            // SRAM subbank energy (alpha_sram = 0.82) is added separately.
+            // SRAM subbank energy (`ALPHA_SRAM`) is added separately.
             Op::Load | Op::Store => 0.23,
             Op::Source | Op::Sink => 0.0,
         }
     }
+
+    /// [`alpha`](Op::alpha) plus, for memory ops, the [`ALPHA_SRAM`]
+    /// subbank access: the relative energy of one firing including the
+    /// SRAM it touches.
+    pub fn alpha_with_sram(self) -> f64 {
+        self.alpha() + if self.is_memory() { ALPHA_SRAM } else { 0.0 }
+    }
 }
+
+/// Relative energy of one 4 kB SRAM subbank access, normalized like
+/// [`Op::alpha`] (paper Section II-C).
+pub const ALPHA_SRAM: f64 = 0.82;
 
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -22,8 +22,11 @@ use std::sync::Mutex;
 use uecgra_model::EnergyDelay;
 use uecgra_probe::Json;
 
-/// Version stamp of the on-disk cache format.
-pub const CACHE_FORMAT_VERSION: u64 = 1;
+/// Version stamp of the on-disk cache format. Bump it whenever the
+/// key derivation changes, so an old file is rejected instead of
+/// loading entries no lookup can hit. Version 2: the configuration
+/// digest no longer hashes a voltage-frequency curve fit.
+pub const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// In-memory (optionally disk-backed) memo table keyed by canonical
 /// digests.
@@ -263,6 +266,23 @@ mod tests {
             ("entries", Json::object(vec![("zz", Json::Uint(1))])),
         ]);
         assert!(EvalCache::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn version_1_documents_are_rejected() {
+        let entry = Json::object(vec![
+            ("energy_per_iter", Json::Float(2.0)),
+            ("throughput", Json::Float(0.5)),
+        ]);
+        let doc = Json::object(vec![
+            ("cache_format_version", Json::Uint(1)),
+            (
+                "entries",
+                Json::Object(vec![(digest_bytes(b"k").to_string(), entry)]),
+            ),
+        ]);
+        let err = EvalCache::from_json(&doc).unwrap_err();
+        assert_eq!(err, "unsupported cache format version 1");
     }
 
     #[test]

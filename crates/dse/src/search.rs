@@ -36,10 +36,11 @@ use crate::cache::EvalCache;
 use crate::key::{combine, digest_bytes, digest_json, Digest};
 use crate::pareto::{modes_string, pareto_frontier, DsePoint};
 use std::collections::HashMap;
-use uecgra_clock::VfMode;
+use uecgra_clock::{ClockSet, VfMode};
 use uecgra_dfg::analysis::Grouping;
-use uecgra_dfg::{Dfg, NodeId};
-use uecgra_model::{EnergyDelay, EnergyDelayEstimator, ModelParams};
+use uecgra_dfg::{Dfg, NodeId, ALPHA_SRAM};
+use uecgra_model::params::{BETA, GAMMA};
+use uecgra_model::{EnergyDelay, EnergyDelayEstimator};
 use uecgra_probe::Json;
 use uecgra_util::SplitMix64;
 
@@ -134,7 +135,6 @@ pub fn config_digest(
     mem: &[u32],
     marker: NodeId,
     extra_hops: &[u32],
-    params: &ModelParams,
     iterations: u64,
 ) -> Digest {
     let nodes: Vec<Json> = dfg
@@ -161,13 +161,15 @@ pub fn config_digest(
     // The memory image can be tens of KiB; fold it to its own digest
     // rather than embedding every word in the JSON description.
     let mem_bytes: Vec<u8> = mem.iter().flat_map(|w| w.to_le_bytes()).collect();
+    // The estimator runs on the default clock plan.
+    let clocks = ClockSet::default();
     let doc = Json::object(vec![
         (
             "clocks",
             Json::Array(
                 [VfMode::Rest, VfMode::Nominal, VfMode::Sprint]
                     .iter()
-                    .map(|&m| Json::Uint(params.clocks.divisor(m) as u64))
+                    .map(|&m| Json::Uint(clocks.divisor(m) as u64))
                     .collect(),
             ),
         ),
@@ -183,16 +185,17 @@ pub fn config_digest(
         (
             "params",
             Json::object(vec![
-                ("alpha_sram", Json::Float(params.alpha_sram)),
-                ("beta", Json::Float(params.beta)),
-                ("f_nominal_mhz", Json::Float(params.f_nominal_mhz)),
-                ("gamma", Json::Float(params.gamma)),
-                ("k1", Json::Float(params.vf.k1)),
-                ("k2", Json::Float(params.vf.k2)),
-                ("k3", Json::Float(params.vf.k3)),
+                ("alpha_sram", Json::Float(ALPHA_SRAM)),
+                ("beta", Json::Float(BETA)),
+                ("gamma", Json::Float(GAMMA)),
                 (
                     "voltages",
-                    Json::Array(params.voltages.iter().map(|&v| Json::Float(v)).collect()),
+                    Json::Array(
+                        VfMode::ALL
+                            .iter()
+                            .map(|m| Json::Float(m.voltage()))
+                            .collect(),
+                    ),
                 ),
             ]),
         ),
@@ -371,7 +374,7 @@ pub fn explore_points(
     let estimator =
         EnergyDelayEstimator::new(dfg, mem.clone(), marker).with_edge_latency(extra_hops.to_vec());
     let window = EnergyDelayEstimator::WINDOW;
-    let config = config_digest(dfg, &mem, marker, extra_hops, estimator.params(), window);
+    let config = config_digest(dfg, &mem, marker, extra_hops, window);
     let mut ev = Evaluator {
         estimator,
         config,
@@ -397,10 +400,7 @@ pub fn explore_points(
     // trajectories measure through the same cache.
     let greedy: Vec<Vec<VfMode>> = [Objective::Performance, Objective::Energy]
         .iter()
-        .map(|&obj| {
-            let params = ev.estimator.params();
-            project(&power_map_with(dfg, params, obj, |m| ev.measure_cached(m)).node_modes)
-        })
+        .map(|&obj| project(&power_map_with(dfg, obj, |m| ev.measure_cached(m)).node_modes))
         .collect();
     let mut seeds: Vec<Vec<VfMode>> = VfMode::ALL.iter().map(|&m| vec![m; groups.len()]).collect();
     seeds.extend(greedy.iter().cloned());
@@ -557,9 +557,8 @@ mod tests {
     fn routed(k: Kernel) -> (Kernel, Vec<u32>, Digest) {
         let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
         let extra = mapped.edge_extra_hops();
-        let params = ModelParams::default();
         let window = EnergyDelayEstimator::WINDOW;
-        let config = config_digest(&k.dfg, &k.mem, k.iter_marker, &extra, &params, window);
+        let config = config_digest(&k.dfg, &k.mem, k.iter_marker, &extra, window);
         (k, extra, config)
     }
 
@@ -568,7 +567,7 @@ mod tests {
     fn greedy_keys_all_cached(k: &Kernel, config: Digest, cache: &EvalCache) -> HashSet<u128> {
         let mut keys = HashSet::new();
         for obj in [Objective::Performance, Objective::Energy] {
-            power_map_with(&k.dfg, &ModelParams::default(), obj, |modes| {
+            power_map_with(&k.dfg, obj, |modes| {
                 let key = candidate_key(config, modes);
                 keys.insert(key.as_u128());
                 cache.lookup(key).expect("greedy candidate is cached")
@@ -677,18 +676,17 @@ mod tests {
     #[test]
     fn config_digest_distinguishes_observable_changes() {
         let toy = synthetic::fig2_toy();
-        let params = uecgra_model::ModelParams::default();
-        let base = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], &params, 96);
-        let other_mem = config_digest(&toy.dfg, &[1; 16], toy.iter_marker, &[], &params, 96);
-        let other_iters = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], &params, 48);
-        let other_hops = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[1], &params, 96);
+        let base = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], 96);
+        let other_mem = config_digest(&toy.dfg, &[1; 16], toy.iter_marker, &[], 96);
+        let other_iters = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], 48);
+        let other_hops = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[1], 96);
         assert_ne!(base, other_mem);
         assert_ne!(base, other_iters);
         assert_ne!(base, other_hops);
         // And it is stable across calls.
         assert_eq!(
             base,
-            config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], &params, 96)
+            config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], 96)
         );
     }
 }

@@ -5,7 +5,7 @@ use uecgra_clock::VfMode;
 use uecgra_dse::{
     candidate_key, config_digest, digest_json, dominates, pareto_frontier, DsePoint, EvalCache,
 };
-use uecgra_model::{EnergyDelay, ModelParams};
+use uecgra_model::EnergyDelay;
 use uecgra_probe::Json;
 use uecgra_util::check::forall;
 use uecgra_util::{par_tabulate, SplitMix64};
@@ -116,8 +116,7 @@ fn cache_keys_ignore_object_field_order() {
 #[test]
 fn cache_keys_are_stable_across_threads_and_runs() {
     let toy = uecgra_dfg::kernels::synthetic::fig2_toy();
-    let params = ModelParams::default();
-    let config = config_digest(&toy.dfg, &[0; 64], toy.iter_marker, &[], &params, 96);
+    let config = config_digest(&toy.dfg, &[0; 64], toy.iter_marker, &[], 96);
     let modes: Vec<Vec<VfMode>> = (0..64usize)
         .map(|i| {
             let mut x = i;

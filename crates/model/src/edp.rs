@@ -6,8 +6,7 @@
 //! the discrete-event simulator for a bounded number of iterations and
 //! accounting energy with the first-order power model.
 
-use crate::params::ModelParams;
-use crate::power::PowerModel;
+use crate::power::energy;
 use crate::sim::{DfgSimulator, PortTables, SimConfig, SimResult};
 use uecgra_clock::VfMode;
 use uecgra_dfg::{Dfg, NodeId};
@@ -67,7 +66,6 @@ pub struct EnergyDelayEstimator<'a> {
     dfg: &'a Dfg,
     mem: Vec<u32>,
     marker: NodeId,
-    power: PowerModel,
     edge_extra_latency: Vec<u32>,
     ports: PortTables,
 }
@@ -79,7 +77,7 @@ impl<'a> EnergyDelayEstimator<'a> {
     /// Marker fires skipped before the steady-state window.
     const WARMUP: usize = 16;
 
-    /// Create an estimator with the default parameter set and a
+    /// Create an estimator on the default clock plan with a
     /// [`WINDOW`](Self::WINDOW)-iteration measurement window.
     ///
     /// # Panics
@@ -91,7 +89,6 @@ impl<'a> EnergyDelayEstimator<'a> {
             dfg,
             mem,
             marker,
-            power: PowerModel::new(ModelParams::default()),
             edge_extra_latency: Vec::new(),
             ports: PortTables::build(dfg),
         }
@@ -108,15 +105,9 @@ impl<'a> EnergyDelayEstimator<'a> {
         self
     }
 
-    /// The model parameters in use.
-    pub fn params(&self) -> &ModelParams {
-        self.power.params()
-    }
-
     /// Simulate `modes` and return its raw simulation result.
     pub fn simulate(&self, modes: &[VfMode]) -> SimResult {
         let config = SimConfig {
-            clocks: self.params().clocks.clone(),
             marker: Some(self.marker),
             max_marker_fires: Some(Self::WINDOW),
             edge_extra_latency: self.edge_extra_latency.clone(),
@@ -141,10 +132,9 @@ impl<'a> EnergyDelayEstimator<'a> {
         let ii = result
             .steady_ii(warmup)
             .unwrap_or_else(|| panic!("mapping reached no steady state: {:?}", result.stop));
-        let energy = self.power.energy(self.dfg, modes, &result);
         EnergyDelay {
             throughput: 1.0 / ii,
-            energy_per_iter: energy.per_iteration(),
+            energy_per_iter: energy(self.dfg, modes, &result).per_iteration(),
         }
     }
 }

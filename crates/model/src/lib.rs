@@ -2,8 +2,10 @@
 //!
 //! Discrete-event performance simulation of dataflow graphs on elastic
 //! and ultra-elastic CGRAs ([`sim`]), plus the first-order power/energy
-//! model ([`power`]) and energy-delay estimation used by the compiler's
-//! power-mapping pass ([`edp`]).
+//! model ([`power`], with its leakage constants in [`params`]) and
+//! energy-delay estimation used by the compiler's power-mapping pass
+//! ([`edp`]). Voltages and clock ratios come from the operating-point
+//! table in `uecgra_clock`.
 
 #![warn(missing_docs)]
 
@@ -13,6 +15,5 @@ pub mod power;
 pub mod sim;
 
 pub use edp::{EnergyDelay, EnergyDelayEstimator};
-pub use params::{ModelParams, VfCurve};
-pub use power::{EnergyBreakdown, PowerModel};
+pub use power::{energy, EnergyBreakdown};
 pub use sim::{DfgSimulator, SimConfig, SimResult, StopReason};

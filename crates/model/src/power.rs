@@ -9,10 +9,10 @@
 //! nominal leakage power derived from the paper's γ definition.
 //! Power-gated (inactive) PEs and banks consume nothing.
 
-use crate::params::ModelParams;
+use crate::params::{pe_leak_power_nominal, sram_leak_power_nominal};
 use crate::sim::SimResult;
 use uecgra_clock::VfMode;
-use uecgra_dfg::Dfg;
+use uecgra_dfg::{Dfg, ALPHA_SRAM};
 
 /// Per-run energy accounting, in normalized units (1.0 = one `mul`
 /// firing at nominal voltage).
@@ -51,13 +51,17 @@ impl EnergyBreakdown {
     }
 }
 
-/// The first-order power model: combines [`ModelParams`] with a
-/// simulation result to produce an [`EnergyBreakdown`].
+/// Account the energy of a finished run with the first-order power
+/// model.
+///
+/// A node is *active* (and leaks) iff it fired at least once;
+/// unused nodes model power-gated PEs. Pseudo-ops (`source`/`sink`)
+/// represent the outside world and consume nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use uecgra_model::{PowerModel, ModelParams, DfgSimulator, SimConfig};
+/// use uecgra_model::{energy, DfgSimulator, SimConfig};
 /// use uecgra_clock::VfMode;
 /// use uecgra_dfg::kernels::synthetic;
 ///
@@ -69,70 +73,45 @@ impl EnergyBreakdown {
 ///     ..SimConfig::default()
 /// };
 /// let result = DfgSimulator::new(&toy.dfg, modes.clone(), vec![], config).run();
-/// let breakdown = PowerModel::new(ModelParams::default())
-///     .energy(&toy.dfg, &modes, &result);
+/// let breakdown = energy(&toy.dfg, &modes, &result);
 /// assert!(breakdown.per_iteration() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerModel {
-    params: ModelParams,
-}
+pub fn energy(dfg: &Dfg, modes: &[VfMode], result: &SimResult) -> EnergyBreakdown {
+    assert_eq!(modes.len(), dfg.node_count(), "one mode per node");
+    let duration_cycles = result.nominal_cycles();
 
-impl PowerModel {
-    /// Create a power model with the given parameters.
-    pub fn new(params: ModelParams) -> PowerModel {
-        PowerModel { params }
-    }
+    let mut node_dynamic = vec![0.0; dfg.node_count()];
+    let mut node_static = vec![0.0; dfg.node_count()];
+    let mut sram_dynamic = 0.0;
+    let mut sram_static = 0.0;
+    let leak_nominal_per_cycle = pe_leak_power_nominal();
 
-    /// The underlying parameters.
-    pub fn params(&self) -> &ModelParams {
-        &self.params
-    }
-
-    /// Account the energy of a finished run.
-    ///
-    /// A node is *active* (and leaks) iff it fired at least once;
-    /// unused nodes model power-gated PEs. Pseudo-ops (`source`/`sink`)
-    /// represent the outside world and consume nothing.
-    pub fn energy(&self, dfg: &Dfg, modes: &[VfMode], result: &SimResult) -> EnergyBreakdown {
-        assert_eq!(modes.len(), dfg.node_count(), "one mode per node");
-        let p = &self.params;
-        let duration_cycles = result.nominal_cycles();
-
-        let mut node_dynamic = vec![0.0; dfg.node_count()];
-        let mut node_static = vec![0.0; dfg.node_count()];
-        let mut sram_dynamic = 0.0;
-        let mut sram_static = 0.0;
-        let leak_nominal_per_cycle = p.pe_leak_power_nominal();
-
-        for (id, node) in dfg.nodes() {
-            if node.op.is_pseudo() {
-                continue;
-            }
-            let i = id.index();
-            let mode = modes[i];
-            let fires = result.fires[i] as f64;
-            let active = result.fires[i] > 0;
-            node_dynamic[i] = fires * node.op.alpha() * p.dynamic_scale(mode);
+    for (id, node) in dfg.nodes() {
+        if node.op.is_pseudo() {
+            continue;
+        }
+        let i = id.index();
+        let mode = modes[i];
+        let fires = result.fires[i] as f64;
+        let active = result.fires[i] > 0;
+        node_dynamic[i] = fires * node.op.alpha() * mode.dynamic_scale();
+        if active {
+            node_static[i] = duration_cycles * leak_nominal_per_cycle * mode.static_scale();
+        }
+        if node.op.is_memory() {
+            sram_dynamic += fires * ALPHA_SRAM * mode.dynamic_scale();
             if active {
-                node_static[i] = duration_cycles * leak_nominal_per_cycle * p.static_scale(mode);
-            }
-            if node.op.is_memory() {
-                sram_dynamic += fires * p.alpha_sram * p.dynamic_scale(mode);
-                if active {
-                    sram_static +=
-                        duration_cycles * p.sram_leak_power_nominal() * p.static_scale(mode);
-                }
+                sram_static += duration_cycles * sram_leak_power_nominal() * mode.static_scale();
             }
         }
+    }
 
-        EnergyBreakdown {
-            node_dynamic,
-            node_static,
-            sram_dynamic,
-            sram_static,
-            iterations: result.iterations(),
-        }
+    EnergyBreakdown {
+        node_dynamic,
+        node_static,
+        sram_dynamic,
+        sram_static,
+        iterations: result.iterations(),
     }
 }
 
@@ -152,9 +131,7 @@ mod tests {
         };
         let result = DfgSimulator::new(&toy.dfg, modes.clone(), vec![0; 256], config).run();
         let ii = result.steady_ii(20).expect("steady state reached");
-        let e = PowerModel::new(ModelParams::default())
-            .energy(&toy.dfg, &modes, &result)
-            .per_iteration();
+        let e = energy(&toy.dfg, &modes, &result).per_iteration();
         (ii, e)
     }
 
@@ -208,7 +185,7 @@ mod tests {
             ..SimConfig::default()
         };
         let result = DfgSimulator::new(&toy.dfg, modes.clone(), vec![0; 256], config).run();
-        let b = PowerModel::new(ModelParams::default()).energy(&toy.dfg, &modes, &result);
+        let b = energy(&toy.dfg, &modes, &result);
         assert!(b.sram_dynamic > 0.0);
         assert!(b.sram_static > 0.0);
         // Active PEs leak; only the one load has an active SRAM subbank.
@@ -243,7 +220,7 @@ mod tests {
             ..SimConfig::default()
         };
         let result = DfgSimulator::new(&g, modes.clone(), vec![], config).run();
-        let b = PowerModel::new(ModelParams::default()).energy(&g, &modes, &result);
+        let b = energy(&g, &modes, &result);
         assert_eq!(result.fires[taken.index()], 1, "false path taken once");
         assert_eq!(result.fires[never.index()], 0);
         let node_total = |i: usize| b.node_dynamic[i] + b.node_static[i];
@@ -268,12 +245,11 @@ mod tests {
             ..SimConfig::default()
         };
         let result = DfgSimulator::new(&g, modes.clone(), vec![], config).run();
-        let params = ModelParams::default();
-        let b = PowerModel::new(params.clone()).energy(&g, &modes, &result);
+        let b = energy(&g, &modes, &result);
         let i = mul.index();
         let dyn_per_cycle = b.node_dynamic[i] / result.nominal_cycles();
         let static_per_cycle = b.node_static[i] / result.nominal_cycles();
-        assert!((static_per_cycle - params.pe_leak_power_nominal()).abs() < 1e-9);
+        assert!((static_per_cycle - pe_leak_power_nominal()).abs() < 1e-9);
         assert!(
             (dyn_per_cycle - 0.5).abs() < 0.01,
             "mul fires every 2nd cycle"

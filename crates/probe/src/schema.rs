@@ -18,7 +18,7 @@ use crate::json::{Json, JsonError};
 
 /// Version stamp embedded in every report. Every section beyond the
 /// core fields (timings, fault campaign, dse) is optional.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// A schema-level decoding error (structurally valid JSON that does
 /// not describe a report).
@@ -612,9 +612,6 @@ pub struct RunReport {
     pub stop: String,
     /// Rising edges per clock domain over the whole run.
     pub domain_edges: [u64; 3],
-    /// Rising edges per clock domain within the first hyperperiod
-    /// (the exact-rational basis the measured clock-power path uses).
-    pub domain_edges_hyper: [u64; 3],
     /// Clock-gateable idle edges summed per domain.
     pub domain_gated_ticks: [u64; 3],
     /// Per-PE activity (configured PEs only).
@@ -657,10 +654,6 @@ impl RunReport {
         }
         fields.push(("stop".into(), Json::Str(self.stop.clone())));
         fields.push(("domain_edges".into(), domains_json(self.domain_edges)));
-        fields.push((
-            "domain_edges_hyper".into(),
-            domains_json(self.domain_edges_hyper),
-        ));
         fields.push((
             "domain_gated_ticks".into(),
             domains_json(self.domain_gated_ticks),
@@ -754,7 +747,6 @@ impl RunReport {
             ii: opt_f64(v, "ii")?,
             stop: req_str(v, "stop")?,
             domain_edges: domains_from(v, "domain_edges")?,
-            domain_edges_hyper: domains_from(v, "domain_edges_hyper")?,
             domain_gated_ticks: domains_from(v, "domain_gated_ticks")?,
             pes,
             queues,
@@ -803,7 +795,6 @@ mod tests {
             ii: Some(3.25),
             stop: "Quiesced".into(),
             domain_edges: [137, 411, 617],
-            domain_edges_hyper: [2, 6, 9],
             domain_gated_ticks: [10, 20, 30],
             pes: vec![PeReport {
                 x: 1,
@@ -885,7 +876,7 @@ mod tests {
         report.metrics.clear();
         let expected = "\
 {
-  \"schema_version\": 4,
+  \"schema_version\": 5,
   \"name\": \"dither/POpt\",
   \"kernel\": \"dither\",
   \"policy\": \"UE-CGRA POpt\",
@@ -899,11 +890,6 @@ mod tests {
     \"rest\": 137,
     \"nominal\": 411,
     \"sprint\": 617
-  },
-  \"domain_edges_hyper\": {
-    \"rest\": 2,
-    \"nominal\": 6,
-    \"sprint\": 9
   },
   \"domain_gated_ticks\": {
     \"rest\": 10,

@@ -378,8 +378,7 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
     let (w, h) = (fab.width, fab.height);
     let n = w * h;
     let clocks = fab.config.clocks.clone();
-    let hyper = clocks.hyperperiod();
-    let quiesce_window = hyper * 3;
+    let quiesce_window = clocks.hyperperiod() * 3;
     let buckets = fab.config.queue_capacity + 1;
     let traditional = fab.config.suppressor == SuppressorKind::Traditional;
     // Injected faults (stuck handshakes, domain stalls) change PE
@@ -630,11 +629,9 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
     };
 
     let mut domain_edges = [0u64; 3];
-    let mut domain_edges_hyper = [0u64; 3];
     if let Some(end) = end {
         for m in VfMode::ALL {
             domain_edges[m as usize] = clocks.rising_edges_through(m, end);
-            domain_edges_hyper[m as usize] = clocks.rising_edges_through(m, end.min(hyper - 1));
         }
         for idx in 0..n {
             catch_up(&sched, &mut c, idx, &domain_edges);
@@ -665,7 +662,6 @@ pub(crate) fn run_event(mut fab: Fabric) -> (Activity, u64) {
         gated_ticks: into_nested(c.gated_ticks, w),
         queue_occupancy,
         domain_edges,
-        domain_edges_hyper,
         domain_gated_ticks: c.domain_gated_ticks,
         sram_accesses,
         marker_times: c.marker_times,

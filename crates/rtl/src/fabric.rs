@@ -142,10 +142,6 @@ pub struct Activity {
     /// Clock rising edges per domain (rest/nominal/sprint) over the
     /// whole run.
     pub domain_edges: [u64; 3],
-    /// Clock rising edges per domain within the first hyperperiod —
-    /// the exact rational basis `vlsi::clock_power_from_edges` uses in
-    /// place of hand-computed frequency ratios.
-    pub domain_edges_hyper: [u64; 3],
     /// Gateable idle edges summed per clock domain.
     pub domain_gated_ticks: [u64; 3],
     /// SRAM accesses per memory PE.
@@ -599,12 +595,10 @@ impl Fabric {
         let occupancy_buckets = self.config.queue_capacity + 1;
         let mut queue_occupancy = vec![vec![vec![0u64; occupancy_buckets]; w]; h];
         let mut domain_edges = [0u64; 3];
-        let mut domain_edges_hyper = [0u64; 3];
         let mut domain_gated_ticks = [0u64; 3];
         let mut marker_times = Vec::new();
         let mut events: Vec<FireEvent> = Vec::new();
-        let hyper = self.config.clocks.hyperperiod();
-        let quiesce_window = hyper * 3;
+        let quiesce_window = self.config.clocks.hyperperiod() * 3;
         let mut last_act = 0u64;
         let mut stop = FabricStop::TickLimit;
 
@@ -616,9 +610,6 @@ impl Fabric {
             for mode in VfMode::ALL {
                 if self.config.clocks.is_rising(mode, t) {
                     domain_edges[mode as usize] += 1;
-                    if t < hyper {
-                        domain_edges_hyper[mode as usize] += 1;
-                    }
                 }
             }
 
@@ -792,7 +783,6 @@ impl Fabric {
             gated_ticks,
             queue_occupancy,
             domain_edges,
-            domain_edges_hyper,
             domain_gated_ticks,
             sram_accesses,
             marker_times,
@@ -1145,8 +1135,6 @@ mod tests {
             assert_eq!(samples, 4 * act.rising_edges[0][x]);
         }
         assert!(act.fire_edges[0][0] > 0);
-        // Default 9:3:2 divisors over the 18-tick hyperperiod.
-        assert_eq!(act.domain_edges_hyper, [2, 6, 9]);
         assert_eq!(
             act.domain_gated_ticks.iter().sum::<u64>(),
             act.gated_ticks.iter().flatten().sum::<u64>()

@@ -8,7 +8,7 @@
 //! gated by the elasticity-aware suppressor invariant: a token is
 //! readable once it has aged at least one receiver clock period, which
 //! is exactly "safe edge, or unsafe edge with data enqueued longer
-//! than one local cycle" (see `uecgra_clock::suppressor`).
+//! than one local cycle" (see `uecgra_clock::checker`).
 
 use std::collections::VecDeque;
 

@@ -41,7 +41,6 @@ fn field_lines(case: &str, act: &Activity) -> Vec<String> {
         gated_ticks,
         queue_occupancy,
         domain_edges,
-        domain_edges_hyper,
         domain_gated_ticks,
         sram_accesses,
         marker_times,
@@ -52,7 +51,7 @@ fn field_lines(case: &str, act: &Activity) -> Vec<String> {
         events,
         protocol,
     } = act;
-    let fields: [(&str, String); 20] = [
+    let fields: [(&str, String); 19] = [
         ("fires", format!("{fires:?}")),
         ("bypass_tokens", format!("{bypass_tokens:?}")),
         ("rising_edges", format!("{rising_edges:?}")),
@@ -63,7 +62,6 @@ fn field_lines(case: &str, act: &Activity) -> Vec<String> {
         ("gated_ticks", format!("{gated_ticks:?}")),
         ("queue_occupancy", format!("{queue_occupancy:?}")),
         ("domain_edges", format!("{domain_edges:?}")),
-        ("domain_edges_hyper", format!("{domain_edges_hyper:?}")),
         ("domain_gated_ticks", format!("{domain_gated_ticks:?}")),
         ("sram_accesses", format!("{sram_accesses:?}")),
         ("marker_times", format!("{marker_times:?}")),

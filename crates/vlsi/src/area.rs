@@ -8,6 +8,7 @@
 //! toward aggressive cycle-time targets as synthesis upsizes gates.
 
 use std::collections::BTreeMap;
+use uecgra_clock::NOMINAL_CYCLE_NS;
 
 /// The three CGRA families compared throughout the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,10 +38,6 @@ impl CgraKind {
         }
     }
 }
-
-/// The reference cycle time (ns) at which the base component areas are
-/// calibrated (750 MHz).
-pub const REFERENCE_CYCLE_NS: f64 = 4.0 / 3.0;
 
 /// Component areas of one PE in µm² at the reference cycle time.
 ///
@@ -87,10 +84,10 @@ pub fn pe_area_reference(kind: CgraKind) -> f64 {
 /// (the Figure 10 sweep shape).
 pub fn cycle_time_scale(cycle_ns: f64) -> f64 {
     assert!(cycle_ns > 0.5, "target beyond technology reach");
-    if cycle_ns <= REFERENCE_CYCLE_NS {
-        1.0 + 0.65 * (REFERENCE_CYCLE_NS / cycle_ns - 1.0)
+    if cycle_ns <= NOMINAL_CYCLE_NS {
+        1.0 + 0.65 * (NOMINAL_CYCLE_NS / cycle_ns - 1.0)
     } else {
-        1.0 / (1.0 + 0.12 * (cycle_ns / REFERENCE_CYCLE_NS - 1.0))
+        1.0 / (1.0 + 0.12 * (cycle_ns / NOMINAL_CYCLE_NS - 1.0))
     }
 }
 

@@ -15,7 +15,7 @@
 //!   wholesale.
 
 use crate::area::CgraKind;
-use uecgra_clock::VfMode;
+use uecgra_clock::{ClockSet, VfMode};
 
 /// Calibrated clock/idle power constants (TSMC 28 nm, 750 MHz).
 #[derive(Debug, Clone, PartialEq)]
@@ -103,77 +103,23 @@ impl ClockPowerBreakdown {
     }
 }
 
-fn freq_ratio(mode: VfMode) -> f64 {
-    match mode {
-        VfMode::Rest => 1.0 / 3.0,
-        VfMode::Nominal => 1.0,
-        VfMode::Sprint => 1.5,
-    }
-}
-
-fn volt_ratio(mode: VfMode) -> f64 {
-    match mode {
-        VfMode::Rest => 0.61 / 0.90,
-        VfMode::Nominal => 1.0,
-        VfMode::Sprint => 1.23 / 0.90,
-    }
-}
-
-/// Local clock power scales with frequency only: like the global
-/// networks, the clock distribution is powered from the always-on
-/// nominal rail (the paper's methodology scales logic to each PE's
-/// voltage but adds clock energy "which is not voltage-scaled"), so a
-/// rested PE's clock burns 1/3 the power and a sprinting PE's 1.5×.
-fn local_clock_scale(mode: VfMode) -> f64 {
-    freq_ratio(mode)
-}
-
 /// Compute the clock-power breakdown for a per-PE clock-selection grid
-/// (`None` = unused PE).
+/// (`None` = unused PE) on the clock plan `clocks`.
+///
+/// Local clock power scales with frequency only,
+/// `clocks.frequency_ratio(m, Nominal)`: like the global networks, the
+/// clock distribution is powered from the always-on nominal rail (the
+/// paper's methodology scales logic to each PE's voltage but adds clock
+/// energy "which is not voltage-scaled"), so under the 9:3:2 plan a
+/// rested PE's clock burns 1/3 the power and a sprinting PE's 1.5×.
+/// Active-PE leakage scales with [`VfMode::static_scale`].
+#[allow(clippy::needless_range_loop)] // (x, y) grid indexing reads clearer
 pub fn clock_power(
     kind: CgraKind,
     params: &ClockPowerParams,
+    clocks: &ClockSet,
     clock_grid: &[Vec<Option<VfMode>>],
     gating: GatingConfig,
-) -> ClockPowerBreakdown {
-    clock_power_with_scale(kind, params, clock_grid, gating, local_clock_scale)
-}
-
-/// [`clock_power`], but with each domain's local-clock scale taken
-/// from **measured** per-domain rising-edge counts over one
-/// hyperperiod (the probe layer's `domain_edges_hyper`) instead of
-/// the hand-computed frequency ratios.
-///
-/// The scale of mode `m` is `edges[m] / edges[nominal]`. For the
-/// default 9:3:2 divisor plan the counts are `[2, 6, 9]`, and the
-/// correctly-rounded f64 divisions 2/6, 6/6 and 9/6 are bit-identical
-/// to the hand constants 1/3, 1 and 1.5 — so this path reproduces
-/// [`clock_power`] exactly while being driven by simulator telemetry.
-/// A run too short to cover a hyperperiod (`edges[nominal] == 0`)
-/// falls back to the hand ratios.
-pub fn clock_power_from_edges(
-    kind: CgraKind,
-    params: &ClockPowerParams,
-    clock_grid: &[Vec<Option<VfMode>>],
-    gating: GatingConfig,
-    edges_hyper: [u64; 3],
-) -> ClockPowerBreakdown {
-    let nominal = edges_hyper[VfMode::Nominal as usize];
-    if nominal == 0 {
-        return clock_power(kind, params, clock_grid, gating);
-    }
-    clock_power_with_scale(kind, params, clock_grid, gating, move |m| {
-        edges_hyper[m as usize] as f64 / nominal as f64
-    })
-}
-
-#[allow(clippy::needless_range_loop)] // (x, y) grid indexing reads clearer
-fn clock_power_with_scale(
-    kind: CgraKind,
-    params: &ClockPowerParams,
-    clock_grid: &[Vec<Option<VfMode>>],
-    gating: GatingConfig,
-    scale: impl Fn(VfMode) -> f64,
 ) -> ClockPowerBreakdown {
     let height = clock_grid.len();
     let width = clock_grid.first().map_or(0, |r| r.len());
@@ -191,8 +137,9 @@ fn clock_power_with_scale(
         for &sel in row {
             match sel {
                 Some(m) => {
-                    pe_clock_mw += params.pe_clock_mw_nominal * scale(m) * pe_factor;
-                    leakage_mw += params.active_leak_mw * volt_ratio(m);
+                    let scale = clocks.frequency_ratio(m, VfMode::Nominal);
+                    pe_clock_mw += params.pe_clock_mw_nominal * scale * pe_factor;
+                    leakage_mw += params.active_leak_mw * m.static_scale();
                 }
                 None if !gating.power_gate => {
                     // Ungated unused PEs park on the nominal clock.
@@ -289,6 +236,7 @@ mod tests {
         let b = clock_power(
             CgraKind::Elastic,
             &ClockPowerParams::default(),
+            &ClockSet::default(),
             &grid_all(None),
             GatingConfig::NONE,
         );
@@ -310,8 +258,20 @@ mod tests {
     fn power_gating_cuts_local_clock_and_idle_logic() {
         let p = ClockPowerParams::default();
         let g = sparse_grid();
-        let none = clock_power(CgraKind::Elastic, &p, &g, GatingConfig::NONE);
-        let pg = clock_power(CgraKind::Elastic, &p, &g, GatingConfig::POWER_ONLY);
+        let none = clock_power(
+            CgraKind::Elastic,
+            &p,
+            &ClockSet::default(),
+            &g,
+            GatingConfig::NONE,
+        );
+        let pg = clock_power(
+            CgraKind::Elastic,
+            &p,
+            &ClockSet::default(),
+            &g,
+            GatingConfig::POWER_ONLY,
+        );
         assert!(pg.pe_clock_mw < none.pe_clock_mw / 2.0);
         assert!(none.idle_logic_mw > 0.0);
         assert_eq!(pg.idle_logic_mw, 0.0);
@@ -321,8 +281,20 @@ mod tests {
     fn hierarchical_gating_prunes_unused_clusters() {
         let p = ClockPowerParams::default();
         let g = sparse_grid();
-        let pg = clock_power(CgraKind::UltraElastic, &p, &g, GatingConfig::POWER_ONLY);
-        let full = clock_power(CgraKind::UltraElastic, &p, &g, GatingConfig::FULL);
+        let pg = clock_power(
+            CgraKind::UltraElastic,
+            &p,
+            &ClockSet::default(),
+            &g,
+            GatingConfig::POWER_ONLY,
+        );
+        let full = clock_power(
+            CgraKind::UltraElastic,
+            &p,
+            &ClockSet::default(),
+            &g,
+            GatingConfig::FULL,
+        );
         // Without H all three networks are fully powered.
         assert_eq!(pg.global_mw, p.ue_global_net_mw);
         // With H the rest network (unused) is gated entirely, the
@@ -341,48 +313,14 @@ mod tests {
         let p = ClockPowerParams::default();
         let g = sparse_grid();
         for kind in [CgraKind::Elastic, CgraKind::UltraElastic] {
-            let a = clock_power(kind, &p, &g, GatingConfig::NONE).total_clock_mw();
-            let b = clock_power(kind, &p, &g, GatingConfig::POWER_ONLY).total_clock_mw();
-            let c = clock_power(kind, &p, &g, GatingConfig::FULL).total_clock_mw();
+            let a = clock_power(kind, &p, &ClockSet::default(), &g, GatingConfig::NONE)
+                .total_clock_mw();
+            let b = clock_power(kind, &p, &ClockSet::default(), &g, GatingConfig::POWER_ONLY)
+                .total_clock_mw();
+            let c = clock_power(kind, &p, &ClockSet::default(), &g, GatingConfig::FULL)
+                .total_clock_mw();
             assert!(a > b && b > c, "{kind:?}: {a} > {b} > {c} violated");
         }
-    }
-
-    #[test]
-    fn measured_edges_match_hand_ratios_exactly() {
-        // One hyperperiod of the default 9:3:2 plan has 2/6/9 rising
-        // edges; the resulting scale factors are bit-identical to the
-        // hand constants, so both paths agree to the last bit in every
-        // gating configuration.
-        let p = ClockPowerParams::default();
-        let mut g = sparse_grid();
-        g[0][0] = Some(VfMode::Rest);
-        for kind in [CgraKind::Elastic, CgraKind::UltraElastic] {
-            for gating in [
-                GatingConfig::NONE,
-                GatingConfig::POWER_ONLY,
-                GatingConfig::FULL,
-            ] {
-                let hand = clock_power(kind, &p, &g, gating);
-                let measured = clock_power_from_edges(kind, &p, &g, gating, [2, 6, 9]);
-                assert_eq!(measured, hand, "{kind:?}/{gating:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn short_runs_fall_back_to_hand_ratios() {
-        let p = ClockPowerParams::default();
-        let g = sparse_grid();
-        let hand = clock_power(CgraKind::UltraElastic, &p, &g, GatingConfig::FULL);
-        let fallback = clock_power_from_edges(
-            CgraKind::UltraElastic,
-            &p,
-            &g,
-            GatingConfig::FULL,
-            [0, 0, 0],
-        );
-        assert_eq!(fallback, hand);
     }
 
     #[test]
@@ -392,7 +330,13 @@ mod tests {
         // that entire network can be gated").
         let p = ClockPowerParams::default();
         let g = grid_all(Some(VfMode::Nominal));
-        let b = clock_power(CgraKind::UltraElastic, &p, &g, GatingConfig::FULL);
+        let b = clock_power(
+            CgraKind::UltraElastic,
+            &p,
+            &ClockSet::default(),
+            &g,
+            GatingConfig::FULL,
+        );
         assert_eq!(b.global_mw[VfMode::Sprint as usize], 0.0);
         assert_eq!(b.global_mw[VfMode::Rest as usize], 0.0);
         assert!(b.global_mw[VfMode::Nominal as usize] > 0.0);

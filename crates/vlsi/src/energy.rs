@@ -8,7 +8,8 @@
 //! more energy per op than the E-CGRA PE — almost entirely the three
 //! clock networks entering the PE, with the suppression logic
 //! contributing only ~1.3% — and SRAM-touching ops add the subbank
-//! access energy (α_sram = 0.82).
+//! access energy ([`uecgra_dfg::ALPHA_SRAM`]). Each energy scales with
+//! the PE's supply as [`VfMode::dynamic_scale`].
 
 use crate::area::CgraKind;
 use uecgra_clock::VfMode;
@@ -45,16 +46,6 @@ pub const SUPPRESSION_FRACTION: f64 = 0.013;
 /// the local clock stub (which the clock-power model carries).
 pub const STALL_ALPHA: f64 = 0.012;
 
-/// Dynamic energy scale of a supply voltage versus nominal: `(V/VN)²`.
-pub fn voltage_scale(mode: VfMode) -> f64 {
-    let v = match mode {
-        VfMode::Rest => 0.61,
-        VfMode::Nominal => 0.90,
-        VfMode::Sprint => 1.23,
-    };
-    (v / 0.90) * (v / 0.90)
-}
-
 /// Energy in pJ of one `op` firing at `mode` in a `kind` PE, including
 /// the SRAM subbank access for memory ops.
 ///
@@ -67,8 +58,7 @@ pub fn op_energy_pj(kind: CgraKind, op: Op, mode: VfMode) -> f64 {
         CgraKind::Elastic => 1.0,
         CgraKind::UltraElastic => UE_DATAPATH_OVERHEAD,
     };
-    let sram = if op.is_memory() { 0.82 } else { 0.0 };
-    (op.alpha() + sram) * E_MUL_PJ * base * voltage_scale(mode)
+    op.alpha_with_sram() * E_MUL_PJ * base * mode.dynamic_scale()
 }
 
 /// Energy in pJ of a stalled rising edge (clock toggle, no fire).
@@ -78,7 +68,7 @@ pub fn stall_energy_pj(kind: CgraKind, mode: VfMode) -> f64 {
         CgraKind::Elastic => 1.0,
         CgraKind::UltraElastic => UE_DATAPATH_OVERHEAD,
     };
-    STALL_ALPHA * E_MUL_PJ * base * voltage_scale(mode)
+    STALL_ALPHA * E_MUL_PJ * base * mode.dynamic_scale()
 }
 
 /// Energy in pJ of forwarding one bypass token (the `bps` bar).

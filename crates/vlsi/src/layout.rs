@@ -8,7 +8,8 @@
 //! ultra-elastic one, which carries three global clock networks and
 //! the global clock dividers.
 
-use crate::area::{pe_area, CgraKind, REFERENCE_CYCLE_NS};
+use crate::area::{pe_area, CgraKind};
+use uecgra_clock::NOMINAL_CYCLE_NS;
 
 /// Array-level infrastructure area in µm² (clock spines, dividers,
 /// hierarchical gating cells).
@@ -29,7 +30,7 @@ pub fn array_area_um2(kind: CgraKind, n_pes: usize, cycle_ns: f64) -> f64 {
 /// Edge length in µm of the (square) 8×8 layout at 750 MHz — the
 /// Figure 12 numbers.
 pub fn edge_um(kind: CgraKind) -> f64 {
-    array_area_um2(kind, 64, REFERENCE_CYCLE_NS).sqrt()
+    array_area_um2(kind, 64, NOMINAL_CYCLE_NS).sqrt()
 }
 
 #[cfg(test)]
@@ -49,8 +50,8 @@ mod tests {
     #[test]
     fn full_array_overhead_is_about_14_percent() {
         // Paper Section VII-B: UE-CGRA has ~14% area over the E-CGRA.
-        let e = array_area_um2(CgraKind::Elastic, 64, REFERENCE_CYCLE_NS);
-        let ue = array_area_um2(CgraKind::UltraElastic, 64, REFERENCE_CYCLE_NS);
+        let e = array_area_um2(CgraKind::Elastic, 64, NOMINAL_CYCLE_NS);
+        let ue = array_area_um2(CgraKind::UltraElastic, 64, NOMINAL_CYCLE_NS);
         let ratio = ue / e;
         assert!((ratio - 1.14).abs() < 0.02, "UE/E = {ratio}");
     }
@@ -65,8 +66,8 @@ mod tests {
 
     #[test]
     fn area_scales_with_pe_count() {
-        let half = array_area_um2(CgraKind::Elastic, 32, REFERENCE_CYCLE_NS);
-        let full = array_area_um2(CgraKind::Elastic, 64, REFERENCE_CYCLE_NS);
+        let half = array_area_um2(CgraKind::Elastic, 32, NOMINAL_CYCLE_NS);
+        let full = array_area_um2(CgraKind::Elastic, 64, NOMINAL_CYCLE_NS);
         assert!(full > 1.9 * half && full < 2.0 * half);
     }
 }

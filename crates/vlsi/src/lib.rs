@@ -18,8 +18,6 @@ pub mod energy;
 pub mod layout;
 
 pub use area::{pe_area, pe_area_reference, CgraKind};
-pub use clock_power::{
-    clock_power, clock_power_from_edges, ClockPowerBreakdown, ClockPowerParams, GatingConfig,
-};
+pub use clock_power::{clock_power, ClockPowerBreakdown, ClockPowerParams, GatingConfig};
 pub use energy::{bypass_energy_pj, op_energy_pj, stall_energy_pj};
 pub use layout::{array_area_um2, edge_um};

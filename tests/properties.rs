@@ -1,6 +1,6 @@
 //! Property-based tests over the reproduction's core invariants.
 
-use uecgra_clock::{ClockSet, Suppressor, VfMode};
+use uecgra_clock::{ClockSet, UnsafeLut, VfMode};
 use uecgra_compiler::bitstream::{Bypass, Dir, OperandSel, PeConfig, PeRole};
 use uecgra_dfg::{kernels, Op, PE_OPS};
 use uecgra_model::{DfgSimulator, SimConfig, StopReason};
@@ -215,17 +215,19 @@ fn clock_plans_verify_and_suppressor_is_live() {
         let report = uecgra_clock::sta::verify_all(&clocks);
         assert!(report.all_clean(), "{report}");
 
-        // Liveness: for every src→dst pair, a token written at any src
+        // Liveness: for every src->dst pair, a token written at any src
         // edge is readable at some dst edge within one hyperperiod +
-        // one dst period.
+        // one dst period. A handshake proceeds on a safe edge, or on an
+        // unsafe one once the token has aged one receiver period.
         let h = clocks.hyperperiod();
         for src in VfMode::ALL {
             for dst in VfMode::ALL {
-                let sup = Suppressor::new(&clocks, src, dst);
+                let lut = UnsafeLut::build(&clocks, src, dst);
+                let p = clocks.period(dst);
                 for t_w in clocks.rising_edges(src) {
                     let mut t = clocks.next_rising(dst, t_w);
-                    let deadline = t_w + h + clocks.period(dst);
-                    while !sup.allows(t, t_w) {
+                    let deadline = t_w + h + p;
+                    while lut.is_unsafe_at(t) && t - t_w < p {
                         t = clocks.next_rising(dst, t);
                         assert!(t <= deadline, "{src}->{dst} token starved");
                     }
