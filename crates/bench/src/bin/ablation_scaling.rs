@@ -38,10 +38,11 @@ fn main() {
         // Scale the full-tree network power with array area (buffers
         // grow with the spanned region).
         let scale = (dim * dim) as f64 / 64.0;
+        let table1 = ClockPowerParams::default();
         let params = ClockPowerParams {
-            ue_global_net_mw: [0.12 * scale, 0.36 * scale, 0.54 * scale],
-            e_global_net_mw: 0.24 * scale,
-            ..ClockPowerParams::default()
+            ue_global_net_mw: table1.ue_global_net_mw.map(|mw| mw * scale),
+            e_global_net_mw: table1.e_global_net_mw * scale,
+            ..table1
         };
         let clocks = ClockSet::default();
         let power = |gating| clock_power(CgraKind::UltraElastic, &params, &clocks, &grid, gating);

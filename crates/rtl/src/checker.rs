@@ -29,11 +29,15 @@
 //! pipeline surfaces the first fatal violation as
 //! `uecgra_core::Error::Protocol`.
 //!
-//! The checker is deliberately cheap (a few counter updates and two
-//! 64-bit mixes per token) so it stays on in every run, including the
-//! differential suite — where it doubles as a permanent oracle: both
-//! engines must produce identical [`ProtocolReport`]s, and clean runs
-//! must produce zero violations.
+//! In a fault-free run no injector sits between the two sides, so the
+//! event engine's plain build accounts each token with one update
+//! (`ProtocolChecker::offer_received`).
+//!
+//! The checker is deliberately cheap (a few counter updates and three
+//! or four 64-bit mixes per token) so it stays on in every run,
+//! including the differential suite — where it doubles as a permanent
+//! oracle: both engines must produce identical [`ProtocolReport`]s,
+//! and clean runs must produce zero violations.
 
 use crate::queue::TakeError;
 use uecgra_compiler::bitstream::Dir;
@@ -232,7 +236,8 @@ impl ProtocolReport {
     }
 }
 
-/// The live monitor: one [`CrossingStats`] per (PE, direction).
+/// The live monitor: one [`CrossingStats`] per (PE, direction),
+/// indexed by row-major PE index.
 #[derive(Debug)]
 pub(crate) struct ProtocolChecker {
     width: usize,
@@ -253,29 +258,44 @@ impl ProtocolChecker {
         }
     }
 
-    fn slot(&mut self, pe: Coord, dir: Dir) -> &mut CrossingStats {
-        let idx = (pe.1 * self.width + pe.0) * 4 + dir as usize;
-        &mut self.stats[idx]
+    /// The stats of queue `dir` of PE `idx` (row-major index).
+    fn slot(&mut self, idx: usize, dir: Dir) -> &mut CrossingStats {
+        &mut self.stats[idx * 4 + dir as usize]
     }
 
-    /// A producer sent `value` toward queue `dir` of `pe` (pre-fault).
-    pub(crate) fn offer(&mut self, pe: Coord, dir: Dir, value: u32) {
+    /// A producer sent `value` toward queue `dir` of PE `idx`
+    /// (pre-fault).
+    pub(crate) fn offer(&mut self, idx: usize, dir: Dir, value: u32) {
         self.tokens += 1;
-        let s = self.slot(pe, dir);
+        let s = self.slot(idx, dir);
         s.offered += 1;
         s.offered_sum = mix64(s.offered_sum ^ mix64(u64::from(value)));
     }
 
-    /// Queue `dir` of `pe` absorbed `value` (post-fault).
-    pub(crate) fn receive(&mut self, pe: Coord, dir: Dir, value: u32) {
-        let s = self.slot(pe, dir);
+    /// Queue `dir` of PE `idx` absorbed `value` (post-fault).
+    pub(crate) fn receive(&mut self, idx: usize, dir: Dir, value: u32) {
+        let s = self.slot(idx, dir);
         s.received += 1;
         s.received_sum = mix64(s.received_sum ^ mix64(u64::from(value)));
     }
 
-    /// The front token of queue `dir` of `pe` was popped.
-    pub(crate) fn consume(&mut self, pe: Coord, dir: Dir) {
-        self.slot(pe, dir).consumed += 1;
+    /// `value` crossed into queue `dir` of PE `idx` with no fault
+    /// injector between the two sides: the one update writes what
+    /// [`ProtocolChecker::offer`] then [`ProtocolChecker::receive`]
+    /// would.
+    pub(crate) fn offer_received(&mut self, idx: usize, dir: Dir, value: u32) {
+        self.tokens += 1;
+        let s = self.slot(idx, dir);
+        let mixed = mix64(u64::from(value));
+        s.offered += 1;
+        s.offered_sum = mix64(s.offered_sum ^ mixed);
+        s.received += 1;
+        s.received_sum = mix64(s.received_sum ^ mixed);
+    }
+
+    /// The front token of queue `dir` of PE `idx` was popped.
+    pub(crate) fn consume(&mut self, idx: usize, dir: Dir) {
+        self.slot(idx, dir).consumed += 1;
     }
 
     /// Record a non-fatal violation.
@@ -367,11 +387,11 @@ mod tests {
     fn clean_streams_report_no_violations() {
         let mut c = ProtocolChecker::new(2, 2);
         for v in [3u32, 5, 8] {
-            c.offer((1, 0), Dir::West, v);
-            c.receive((1, 0), Dir::West, v);
+            c.offer(1, Dir::West, v);
+            c.receive(1, Dir::West, v);
         }
-        c.consume((1, 0), Dir::West);
-        c.consume((1, 0), Dir::West);
+        c.consume(1, Dir::West);
+        c.consume(1, Dir::West);
         let mut resident = vec![0u64; 2 * 2 * 4];
         // PE (1, 0) is row-major index 1; four queues per PE.
         resident[4 + Dir::West as usize] = 1;
@@ -382,20 +402,33 @@ mod tests {
     }
 
     #[test]
+    fn one_update_per_token_matches_offer_then_receive() {
+        let mut split = ProtocolChecker::new(2, 1);
+        let mut fused = ProtocolChecker::new(2, 1);
+        for (idx, dir, v) in [(0, Dir::East, 3u32), (1, Dir::West, 9), (0, Dir::East, 4)] {
+            split.offer(idx, dir, v);
+            split.receive(idx, dir, v);
+            fused.offer_received(idx, dir, v);
+        }
+        assert_eq!(split.stats, fused.stats);
+        assert_eq!(split.tokens, fused.tokens);
+    }
+
+    #[test]
     fn loss_duplication_and_corruption_are_distinguished() {
         let mut c = ProtocolChecker::new(3, 1);
         // (0,0): a dropped token.
-        c.offer((0, 0), Dir::North, 1);
+        c.offer(0, Dir::North, 1);
         // (1,0): a duplicated token.
-        c.offer((1, 0), Dir::North, 2);
-        c.receive((1, 0), Dir::North, 2);
-        c.receive((1, 0), Dir::North, 2);
+        c.offer(1, Dir::North, 2);
+        c.receive(1, Dir::North, 2);
+        c.receive(1, Dir::North, 2);
         // (2,0): a flipped payload.
-        c.offer((2, 0), Dir::North, 3);
-        c.receive((2, 0), Dir::North, 7);
-        c.consume((1, 0), Dir::North);
-        c.consume((1, 0), Dir::North);
-        c.consume((2, 0), Dir::North);
+        c.offer(2, Dir::North, 3);
+        c.receive(2, Dir::North, 7);
+        c.consume(1, Dir::North);
+        c.consume(1, Dir::North);
+        c.consume(2, Dir::North);
         let report = c.finish(&[0u64; 3 * 4], 10);
         let kinds: Vec<&str> = report.violations.iter().map(|v| v.kind.label()).collect();
         assert_eq!(
@@ -408,12 +441,12 @@ mod tests {
     #[test]
     fn reordering_is_caught_by_the_chained_checksum() {
         let mut c = ProtocolChecker::new(1, 1);
-        c.offer((0, 0), Dir::East, 1);
-        c.offer((0, 0), Dir::East, 2);
-        c.receive((0, 0), Dir::East, 2);
-        c.receive((0, 0), Dir::East, 1);
-        c.consume((0, 0), Dir::East);
-        c.consume((0, 0), Dir::East);
+        c.offer(0, Dir::East, 1);
+        c.offer(0, Dir::East, 2);
+        c.receive(0, Dir::East, 2);
+        c.receive(0, Dir::East, 1);
+        c.consume(0, Dir::East);
+        c.consume(0, Dir::East);
         let report = c.finish(&[0u64; 4], 5);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::PayloadCorruption);
@@ -422,8 +455,8 @@ mod tests {
     #[test]
     fn queue_conservation_checks_residency() {
         let mut c = ProtocolChecker::new(1, 1);
-        c.offer((0, 0), Dir::South, 4);
-        c.receive((0, 0), Dir::South, 4);
+        c.offer(0, Dir::South, 4);
+        c.receive(0, Dir::South, 4);
         // Never consumed, but reported resident count says empty.
         let report = c.finish(&[0u64; 4], 5);
         assert_eq!(report.violations.len(), 1);

@@ -56,8 +56,9 @@ pub struct FabricConfig {
     /// dumping (costs memory proportional to activity).
     pub record_events: bool,
     /// Faults to inject (default: none). A non-empty plan switches the
-    /// event-driven engine into all-armed evaluation so both engines
-    /// stay bit-identical under time-windowed faults.
+    /// event-driven engine into its general build and all-armed
+    /// evaluation, so both engines stay bit-identical under
+    /// time-windowed faults.
     pub faults: FaultPlan,
 }
 
@@ -410,39 +411,45 @@ impl Fabric {
 
     /// Front-token visibility for `user` of queue `dir` of PE `idx`
     /// at tick `t`, under the configured suppressor.
-    fn queue_visible(&self, idx: usize, dir: Dir, user: usize, t: u64) -> Option<u32> {
+    #[inline(always)]
+    fn queue_visible<const PLAIN: bool>(
+        &self,
+        idx: usize,
+        dir: Dir,
+        user: usize,
+        t: u64,
+    ) -> Option<u32> {
         let state = &self.grid[idx];
         // An injected stuck-at-low valid hides the front token; the
         // elastic protocol absorbs the delay (classified suppressed).
-        if self.faults.valid_stuck(state.pos, dir, t) {
+        if !PLAIN && self.faults.valid_stuck(state.pos, dir, t) {
             return None;
         }
-        match self.config.suppressor {
-            SuppressorKind::ElasticityAware => {
-                state.queues[dir as usize].front_visible_for(t, state.period, user)
-            }
-            SuppressorKind::Traditional => {
-                let src_mode = state.queue_src_mode[dir as usize]?;
-                let lut = self.checker.lut(src_mode, state.config.clk);
-                if lut.is_unsafe_at(t) {
-                    return None;
-                }
-                // Safe edge: any registered token (nonzero age) passes.
-                state.queues[dir as usize].front_visible_for(t, 1, user)
-            }
+        let queue = &state.queues[dir as usize];
+        if PLAIN || self.config.suppressor == SuppressorKind::ElasticityAware {
+            return queue.front_visible_for(t, state.period, user);
         }
+        // Traditional: only on a safe edge, where any registered token
+        // (nonzero age) passes.
+        let src_mode = state.queue_src_mode[dir as usize]?;
+        if self.checker.lut(src_mode, state.config.clk).is_unsafe_at(t) {
+            return None;
+        }
+        queue.front_visible_for(t, 1, user)
     }
 
     /// Can `value` be delivered to every direction in output bitmask
     /// `out` (all target queues have space and report ready at tick
     /// `t`)? Directions off the array edge are dropped silently (they
     /// can only arise from malformed configs).
-    pub(crate) fn mask_ready(&self, idx: usize, out: u8, t: u64) -> bool {
+    #[inline(always)]
+    pub(crate) fn mask_ready<const PLAIN: bool>(&self, idx: usize, out: u8, t: u64) -> bool {
         let links = &self.grid[idx].links;
         DirBits(out).all(|d| match links[d] {
             Some(l) => {
                 let n = &self.grid[l.pe];
-                n.queues[l.back as usize].can_push() && !self.faults.ready_stuck(n.pos, l.back, t)
+                n.queues[l.back as usize].can_push()
+                    && (PLAIN || !self.faults.ready_stuck(n.pos, l.back, t))
             }
             None => true,
         })
@@ -451,7 +458,7 @@ impl Fabric {
     fn deliver(&mut self, idx: usize, out: u8, value: u32, t: u64) {
         for d in DirBits(out) {
             if let Some(l) = self.grid[idx].links[d] {
-                self.push_checked(l, value, t);
+                self.push_checked::<false>(l, value, t);
             }
         }
     }
@@ -462,15 +469,27 @@ impl Fabric {
     /// queue actually grew (the event engine's wake edge). A push
     /// without credit — possible only with a malformed bitstream
     /// (conflicting drivers) or a duplication fault — becomes a fatal
-    /// `Overflow` violation instead of a panic.
-    pub(crate) fn push_checked(&mut self, to: Link, value: u32, t: u64) -> bool {
+    /// `Overflow` violation instead of a panic. The plain build has no
+    /// injector between the two sides, so one checker update accounts
+    /// the token as offered and received.
+    #[inline(always)]
+    pub(crate) fn push_checked<const PLAIN: bool>(&mut self, to: Link, value: u32, t: u64) -> bool {
         let dst = &mut self.grid[to.pe];
         let (pos, back) = (dst.pos, to.back);
-        self.protocol.offer(pos, back, value);
+        if PLAIN {
+            self.protocol.offer_received(to.pe, back, value);
+            if dst.queues[back as usize].try_push(value, t) {
+                return true;
+            }
+            self.protocol
+                .fatal(pos, Some(back), t, ViolationKind::Overflow);
+            return false;
+        }
+        self.protocol.offer(to.pe, back, value);
         let inj = self.faults.inject(pos, back, value);
         let mut grew = false;
         for _ in 0..inj.copies {
-            self.protocol.receive(pos, back, inj.value);
+            self.protocol.receive(to.pe, back, inj.value);
             if dst.queues[back as usize].try_push(inj.value, t) {
                 grew = true;
             } else {
@@ -487,7 +506,14 @@ impl Fabric {
     /// become fatal protocol violations instead of panics. Returns
     /// `true` when the take popped the token (the event engine's
     /// producer-wake edge).
-    pub(crate) fn take_checked(&mut self, idx: usize, dir: Dir, user: usize, t: u64) -> bool {
+    #[inline(always)]
+    pub(crate) fn take_checked<const PLAIN: bool>(
+        &mut self,
+        idx: usize,
+        dir: Dir,
+        user: usize,
+        t: u64,
+    ) -> bool {
         let state = &mut self.grid[idx];
         let pe = state.pos;
         if let Some(tok) = state.queues[dir as usize].front() {
@@ -495,15 +521,14 @@ impl Fabric {
             // one receiver period (elasticity-aware), or on an unsafe
             // edge / younger than one tick (traditional).
             let period = state.period;
-            let safe = match self.config.suppressor {
-                SuppressorKind::ElasticityAware => t >= tok.written + period,
-                SuppressorKind::Traditional => {
-                    let src = state.queue_src_mode[dir as usize];
-                    let dst_mode = state.config.clk;
-                    let on_safe_edge =
-                        src.is_none_or(|s| !self.checker.lut(s, dst_mode).is_unsafe_at(t));
-                    on_safe_edge && t > tok.written
-                }
+            let safe = if PLAIN || self.config.suppressor == SuppressorKind::ElasticityAware {
+                t >= tok.written + period
+            } else {
+                let src = state.queue_src_mode[dir as usize];
+                let dst_mode = state.config.clk;
+                let on_safe_edge =
+                    src.is_none_or(|s| !self.checker.lut(s, dst_mode).is_unsafe_at(t));
+                on_safe_edge && t > tok.written
             };
             if !safe {
                 self.protocol.record(
@@ -521,7 +546,7 @@ impl Fabric {
         match state.queues[dir as usize].try_take(user, required) {
             Ok(popped) => {
                 if popped {
-                    self.protocol.consume(pe, dir);
+                    self.protocol.consume(idx, dir);
                 }
                 popped
             }
@@ -628,7 +653,7 @@ impl Fabric {
                     for q in &self.grid[idx].queues {
                         queue_occupancy[y][x][q.len().min(occupancy_buckets - 1)] += 1;
                     }
-                    match self.decide(idx, t, &mut plans).class {
+                    match self.decide::<false>(idx, t, &mut plans).class {
                         EdgeClass::Fire => fire_edges[y][x] += 1,
                         EdgeClass::Backpressure => backpressure_stalls[y][x] += 1,
                         EdgeClass::Suppressed => suppressed_stalls[y][x] += 1,
@@ -658,14 +683,14 @@ impl Fabric {
                         ..
                     } => {
                         for d in pops.iter().flatten() {
-                            self.take_checked(*pe, *d, 0, t);
+                            self.take_checked::<false>(*pe, *d, 0, t);
                         }
                         if *consume_reg {
                             self.grid[*pe].reg = None;
                         }
                     }
                     Plan::Bypass { pe, src, slot, .. } => {
-                        self.take_checked(*pe, *src, slot + 1, t);
+                        self.take_checked::<false>(*pe, *src, slot + 1, t);
                     }
                 }
             }
@@ -797,11 +822,19 @@ impl Fabric {
 
     /// Decide PE `pe`'s actions on its rising edge at `t`, appending
     /// them to `plans`, and classify the edge. Both engines count the
-    /// class this returns; nothing else classifies an edge.
-    pub(crate) fn decide(&self, pe: usize, t: u64, plans: &mut Vec<Plan>) -> Outcome {
+    /// class this returns; nothing else classifies an edge. `PLAIN`
+    /// selects the event engine's plain build (no fault hooks, the
+    /// elasticity-aware suppressor; see [`crate::engine`]).
+    #[inline(always)]
+    pub(crate) fn decide<const PLAIN: bool>(
+        &self,
+        pe: usize,
+        t: u64,
+        plans: &mut Vec<Plan>,
+    ) -> Outcome {
         let planned_before = plans.len();
         let mut out = Outcome::default();
-        let in_stalled = self.plan_edge(pe, t, plans, &mut out);
+        let in_stalled = self.plan_edge::<PLAIN>(pe, t, plans, &mut out);
         out.class = if plans.len() > planned_before {
             EdgeClass::Fire
         } else if out.out_stalled {
@@ -818,7 +851,14 @@ impl Fabric {
 
     /// [`Fabric::decide`]'s planning pass: pushes the edge's plans,
     /// sets the flags of `out` and returns whether an input stalled.
-    fn plan_edge(&self, pe: usize, t: u64, plans: &mut Vec<Plan>, out: &mut Outcome) -> bool {
+    #[inline(always)]
+    fn plan_edge<const PLAIN: bool>(
+        &self,
+        pe: usize,
+        t: u64,
+        plans: &mut Vec<Plan>,
+        out: &mut Outcome,
+    ) -> bool {
         let state = &self.grid[pe];
         let cfg = &state.config;
         let period = state.period;
@@ -827,7 +867,7 @@ impl Fabric {
         // An injected domain stall withholds this PE's clock: the edge
         // does nothing and classifies as gated (the clock never rose,
         // as far as the PE is concerned).
-        if self.faults.domain_stalled(cfg.clk, t) {
+        if !PLAIN && self.faults.domain_stalled(cfg.clk, t) {
             return false;
         }
 
@@ -835,9 +875,9 @@ impl Fabric {
         // bypass in the same cycle).
         for (i, slot) in cfg.bypass.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            match self.queue_visible(pe, slot.src, i + 1, t) {
+            match self.queue_visible::<PLAIN>(pe, slot.src, i + 1, t) {
                 Some(value) => {
-                    if self.mask_ready(pe, state.outputs[2 + i], t) {
+                    if self.mask_ready::<PLAIN>(pe, state.outputs[2 + i], t) {
                         plans.push(Plan::Bypass {
                             pe,
                             src: slot.src,
@@ -870,7 +910,7 @@ impl Fabric {
 
         // Phi bootstrap.
         if state.init_pending {
-            if self.mask_ready(pe, state.outputs[0], t) {
+            if self.mask_ready::<PLAIN>(pe, state.outputs[0], t) {
                 plans.push(Plan::Compute {
                     pe,
                     pops: [None; 2],
@@ -891,7 +931,7 @@ impl Fabric {
         let read = |sel: OperandSel| -> Result<(Option<Dir>, bool, u32), StallCause> {
             // Ok((queue, consume_reg, value)).
             match sel {
-                OperandSel::Queue(d) => match self.queue_visible(pe, d, 0, t) {
+                OperandSel::Queue(d) => match self.queue_visible::<PLAIN>(pe, d, 0, t) {
                     Some(v) => Ok((Some(d), false, v)),
                     None if state.queues[d as usize].front_pending_for(0) => {
                         Err(StallCause::Suppressed)
@@ -974,7 +1014,7 @@ impl Fabric {
         } else {
             0
         };
-        if !self.mask_ready(pe, state.outputs[out_port as usize], t) {
+        if !self.mask_ready::<PLAIN>(pe, state.outputs[out_port as usize], t) {
             out.out_stalled = true;
             return in_stalled;
         }
@@ -1078,13 +1118,13 @@ mod tests {
         let bs = tiny_bitstream();
         let mut f = Fabric::new(&bs, vec![], FabricConfig::default());
         let east_only = 1 << Dir::East as u8;
-        assert!(f.mask_ready(0, east_only, 0));
+        assert!(f.mask_ready::<false>(0, east_only, 0));
         // Fill (1,0)'s west queue.
         f.grid[1].queues[Dir::West as usize].push(1, 0);
         f.grid[1].queues[Dir::West as usize].push(2, 0);
-        assert!(!f.mask_ready(0, east_only, 0));
+        assert!(!f.mask_ready::<false>(0, east_only, 0));
         // Off-edge directions are always "ready" (dropped).
-        assert!(f.mask_ready(0, 1 << Dir::North as u8, 0));
+        assert!(f.mask_ready::<false>(0, 1 << Dir::North as u8, 0));
         assert_eq!(f.grid[0].outputs, [east_only, 0, 0, 0]);
     }
 
@@ -1103,7 +1143,7 @@ mod tests {
         });
         // At t=3 the phi can fire by consuming the reg (consume+write).
         let mut plans = Vec::new();
-        assert_eq!(f.decide(0, 3, &mut plans).class, EdgeClass::Fire);
+        assert_eq!(f.decide::<false>(0, 3, &mut plans).class, EdgeClass::Fire);
         assert_eq!(plans.len(), 1, "reg consume-and-write is legal");
         match &plans[0] {
             Plan::Compute { consume_reg, .. } => assert!(consume_reg),

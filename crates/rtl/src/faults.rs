@@ -28,10 +28,11 @@
 //! trigger state lives in `FaultState` inside the fabric, so a plan
 //! can be reused across runs and engines. Both engines evaluate the
 //! same plan at the same queue operations, which keeps the dense and
-//! event-driven engines bit-identical under injection (the event
-//! engine additionally disables its wakeup-skipping optimization while
-//! faults are active, because stuck windows change PE outcomes without
-//! any queue mutation).
+//! event-driven engines bit-identical under injection (a non-empty
+//! plan sends the event engine to its general build, which disables
+//! its wakeup-skipping optimization, because stuck windows change PE
+//! outcomes without any queue mutation; fault-free runs take its plain
+//! build, which has no fault hooks at all).
 
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Dir;

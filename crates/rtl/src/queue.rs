@@ -9,8 +9,11 @@
 //! readable once it has aged at least one receiver clock period, which
 //! is exactly "safe edge, or unsafe edge with data enqueued longer
 //! than one local cycle" (see `uecgra_clock::checker`).
-
-use std::collections::VecDeque;
+//!
+//! A queue is a fixed ring: a boxed slice of `capacity` tokens plus
+//! the index of the front token and the occupancy. Pushes and pops
+//! move an index and never allocate or grow; the slice is allocated
+//! once, when the queue is built.
 
 /// Why a non-panicking take failed (see [`BisyncQueue::try_take`]).
 /// Either case is a scheduling bug — the protocol checker converts it
@@ -27,7 +30,7 @@ pub enum TakeError {
 }
 
 /// A timestamped token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Token {
     /// Payload.
     pub value: u32,
@@ -49,10 +52,19 @@ pub struct Token {
 /// // ...but can once it has aged one receiver period.
 /// assert_eq!(q.front_visible(3, 3), Some(7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two queues compare equal when they hold the same tokens in the same
+/// order, with the same capacity and eager-fork marks, wherever in the
+/// ring those tokens sit.
+#[derive(Debug, Clone)]
 pub struct BisyncQueue {
-    slots: VecDeque<Token>,
-    capacity: usize,
+    /// The ring; its length is the capacity. Slots outside the
+    /// `len` tokens from `head` (wrapping) hold stale tokens.
+    ring: Box<[Token]>,
+    /// Ring index of the front token.
+    head: usize,
+    /// Occupancy.
+    len: usize,
     /// Eager-fork bookkeeping: which local users (compute, bypass 0,
     /// bypass 1) have already consumed the front token. The token pops
     /// once every configured user has taken it, so consumers proceed
@@ -70,26 +82,32 @@ impl BisyncQueue {
     pub fn new(capacity: usize) -> BisyncQueue {
         assert!(capacity > 0, "queues need at least one entry");
         BisyncQueue {
-            slots: VecDeque::with_capacity(capacity),
-            capacity,
+            ring: vec![Token::default(); capacity].into_boxed_slice(),
+            head: 0,
+            len: 0,
             front_taken: [false; 3],
         }
     }
 
+    /// The queued tokens, front first.
+    fn tokens(&self) -> impl Iterator<Item = &Token> {
+        self.ring.iter().cycle().skip(self.head).take(self.len)
+    }
+
     /// Occupancy.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// True when a producer may push this cycle (registered ready:
     /// capacity check against the state at the start of the tick).
     pub fn can_push(&self) -> bool {
-        self.slots.len() < self.capacity
+        self.len < self.ring.len()
     }
 
     /// Enqueue a token written at tick `t`.
@@ -109,21 +127,25 @@ impl BisyncQueue {
         if !self.can_push() {
             return false;
         }
-        self.slots.push_back(Token { value, written: t });
+        let mut tail = self.head + self.len;
+        if tail >= self.ring.len() {
+            tail -= self.ring.len();
+        }
+        self.ring[tail] = Token { value, written: t };
+        self.len += 1;
         true
     }
 
     /// The front token, if any (not suppressor-gated — callers wanting
     /// visibility semantics use [`BisyncQueue::front_visible`]).
     pub fn front(&self) -> Option<Token> {
-        self.slots.front().copied()
+        (self.len > 0).then(|| self.ring[self.head])
     }
 
     /// The front token's value if it is visible to a consumer whose
     /// clock period is `receiver_period`, at tick `t`.
     pub fn front_visible(&self, t: u64, receiver_period: u64) -> Option<u32> {
-        self.slots
-            .front()
+        self.front()
             .filter(|tok| t >= tok.written + receiver_period)
             .map(|tok| tok.value)
     }
@@ -142,7 +164,7 @@ impl BisyncQueue {
     /// or an unsafe edge), not on data arrival. Used by the stall
     /// classifier to tell suppressed edges from operand starvation.
     pub fn front_pending_for(&self, user: usize) -> bool {
-        !self.slots.is_empty() && !self.front_taken[user]
+        self.len > 0 && !self.front_taken[user]
     }
 
     /// Record that `user` consumed the front token, then pop it once
@@ -171,7 +193,7 @@ impl BisyncQueue {
     /// `ProtocolViolation` and the run stops with a structured
     /// `Error::Protocol`.
     pub fn try_take(&mut self, user: usize, required: [bool; 3]) -> Result<bool, TakeError> {
-        if self.slots.is_empty() {
+        if self.len == 0 {
             return Err(TakeError::Empty);
         }
         if self.front_taken[user] {
@@ -180,8 +202,7 @@ impl BisyncQueue {
         self.front_taken[user] = true;
         let done = (0..3).all(|u| !required[u] || self.front_taken[u]);
         if done {
-            self.slots.pop_front();
-            self.front_taken = [false; 3];
+            self.pop_front();
         }
         Ok(done)
     }
@@ -198,15 +219,41 @@ impl BisyncQueue {
     /// Remove and return the front token, or `None` when empty
     /// (single-user queues; resets eager-fork bookkeeping either way).
     pub fn try_pop(&mut self) -> Option<Token> {
+        let front = self.front();
+        if front.is_some() {
+            self.pop_front();
+        } else {
+            self.front_taken = [false; 3];
+        }
+        front
+    }
+
+    /// Drop the front token of a non-empty queue and clear the
+    /// eager-fork marks.
+    fn pop_front(&mut self) {
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
+        self.len -= 1;
         self.front_taken = [false; 3];
-        self.slots.pop_front()
     }
 
     /// Queue capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.len()
     }
 }
+
+impl PartialEq for BisyncQueue {
+    fn eq(&self, other: &BisyncQueue) -> bool {
+        self.capacity() == other.capacity()
+            && self.front_taken == other.front_taken
+            && self.tokens().eq(other.tokens())
+    }
+}
+
+impl Eq for BisyncQueue {}
 
 #[cfg(test)]
 mod tests {

@@ -5,10 +5,13 @@
 //! arbitrary rational producer/consumer clock pairs: tokens are never
 //! lost, duplicated, or reordered; the occupancy flags always agree
 //! with `len`; and the eager-fork take discipline delivers the front
-//! token exactly once to every configured user before popping.
+//! token exactly once to every configured user before popping. The
+//! ring that stores the tokens is checked against a `VecDeque` model
+//! over runs long enough to wrap it many times.
 
+use std::collections::VecDeque;
 use uecgra_clock::{ClockSet, VfMode};
-use uecgra_rtl::queue::BisyncQueue;
+use uecgra_rtl::queue::{BisyncQueue, TakeError, Token};
 use uecgra_util::{check::forall, SplitMix64};
 
 /// A random valid clock plan (rest/nominal multiples of sprint), the
@@ -166,6 +169,158 @@ fn visibility_is_monotonic_once_aged() {
                 t >= written + p,
                 "at t={t} (written {written}, period {p})"
             );
+        }
+    });
+}
+
+/// A random non-empty set of eager-fork users out of {compute,
+/// bypass0, bypass1}.
+fn arb_users(rng: &mut SplitMix64) -> [bool; 3] {
+    let mut required = [false; 3];
+    while required.iter().all(|&u| !u) {
+        for r in &mut required {
+            *r = rng.bool();
+        }
+    }
+    required
+}
+
+/// The queue's contract over a plain deque: tokens in arrival order,
+/// plus which users have taken the front one.
+struct Model {
+    tokens: VecDeque<Token>,
+    taken: [bool; 3],
+    capacity: usize,
+}
+
+impl Model {
+    fn try_push(&mut self, value: u32, t: u64) -> bool {
+        let room = self.tokens.len() < self.capacity;
+        if room {
+            self.tokens.push_back(Token { value, written: t });
+        }
+        room
+    }
+
+    fn try_take(&mut self, user: usize, required: [bool; 3]) -> Result<bool, TakeError> {
+        if self.tokens.is_empty() {
+            return Err(TakeError::Empty);
+        }
+        if self.taken[user] {
+            return Err(TakeError::DoubleTake { user });
+        }
+        self.taken[user] = true;
+        let done = (0..3).all(|u| !required[u] || self.taken[u]);
+        if done {
+            self.try_pop();
+        }
+        Ok(done)
+    }
+
+    fn try_pop(&mut self) -> Option<Token> {
+        self.taken = [false; 3];
+        self.tokens.pop_front()
+    }
+}
+
+#[test]
+fn ring_matches_a_deque_model() {
+    forall(192, |rng| {
+        let capacity = 1 + rng.range(4);
+        let required = arb_users(rng);
+        let mut q = BisyncQueue::new(capacity);
+        let mut model = Model {
+            tokens: VecDeque::new(),
+            taken: [false; 3],
+            capacity,
+        };
+        let mut pops = 0usize;
+        for t in 0..600u64 {
+            match rng.range(3) {
+                0 => {
+                    let value = rng.next_u32();
+                    assert_eq!(
+                        q.try_push(value, t),
+                        model.try_push(value, t),
+                        "push at {t}"
+                    );
+                }
+                1 => {
+                    let user = rng.range(3);
+                    let took = q.try_take(user, required);
+                    assert_eq!(took, model.try_take(user, required), "take at {t}");
+                    pops += usize::from(took == Ok(true));
+                }
+                _ => {
+                    let popped = q.try_pop();
+                    assert_eq!(popped, model.try_pop(), "pop at {t}");
+                    pops += usize::from(popped.is_some());
+                }
+            }
+            assert_eq!(q.len(), model.tokens.len());
+            assert_eq!(q.is_empty(), model.tokens.is_empty());
+            assert_eq!(q.can_push(), model.tokens.len() < capacity);
+            assert_eq!(q.front(), model.tokens.front().copied());
+            for user in 0..3 {
+                let pending = !model.tokens.is_empty() && !model.taken[user];
+                assert_eq!(q.front_pending_for(user), pending);
+                let visible = model
+                    .tokens
+                    .front()
+                    .filter(|tok| pending && t >= tok.written + 2)
+                    .map(|tok| tok.value);
+                assert_eq!(
+                    q.front_visible_for(t, 2, user),
+                    visible,
+                    "user {user} at {t}"
+                );
+            }
+        }
+        assert!(
+            pops >= 20 * capacity,
+            "only {pops} pops: the ring of {capacity} did not wrap many times"
+        );
+    });
+}
+
+#[test]
+fn equal_tokens_compare_equal_whatever_the_history() {
+    forall(192, |rng| {
+        let capacity = 1 + rng.range(4);
+        let held: Vec<(u32, u64)> = (1..=rng.range(capacity + 1))
+            .map(|i| (rng.next_u32(), i as u64))
+            .collect();
+        let mut fresh = BisyncQueue::new(capacity);
+        for &(value, t) in &held {
+            fresh.push(value, t);
+        }
+        // The same tokens after a random churn that moves the ring's
+        // front and leaves stale tokens in its slots.
+        let mut churned = BisyncQueue::new(capacity);
+        let required = arb_users(rng);
+        for _ in 0..rng.range(4 * capacity) {
+            churned.push(rng.next_u32(), 99);
+            if rng.bool() {
+                churned.pop();
+            } else {
+                for user in (0..3).filter(|&u| required[u]) {
+                    churned.take(user, required);
+                }
+            }
+        }
+        for &(value, t) in &held {
+            churned.push(value, t);
+        }
+        assert_eq!(fresh, churned);
+        // A token or an eager-fork mark more on one side breaks it.
+        if churned.can_push() {
+            let mut longer = churned.clone();
+            longer.push(7, 7);
+            assert_ne!(fresh, longer);
+        }
+        if !churned.is_empty() {
+            churned.take(0, [true, true, true]);
+            assert_ne!(fresh, churned);
         }
     });
 }
