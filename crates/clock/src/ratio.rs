@@ -42,6 +42,15 @@ impl VfMode {
     /// All three modes, slowest first.
     pub const ALL: [VfMode; 3] = [VfMode::Rest, VfMode::Nominal, VfMode::Sprint];
 
+    /// The mode's letter in assignment strings: `R`, `N` or `S`.
+    pub fn letter(self) -> char {
+        match self {
+            VfMode::Rest => 'R',
+            VfMode::Nominal => 'N',
+            VfMode::Sprint => 'S',
+        }
+    }
+
     /// Frequency multiplier relative to nominal in `clocks`.
     pub fn speedup_over_nominal(self, clocks: &ClockSet) -> f64 {
         clocks.frequency_ratio(self, VfMode::Nominal)

@@ -143,9 +143,13 @@ pub fn power_map_with(
             .collect()
     };
 
+    // A nominal seed expands to the baseline's all-nominal vector.
     let seed = objective.seed();
     let mut group_modes: Vec<VfMode> = vec![seed; grouping.len()];
-    let mut best = measure(&expand(&group_modes));
+    let mut best = match seed {
+        VfMode::Nominal => baseline,
+        _ => measure(&expand(&group_modes)),
+    };
 
     for &g in &ordered {
         let original = group_modes[g];
@@ -285,6 +289,21 @@ mod tests {
     }
 
     #[test]
+    fn eopt_measures_all_nominal_once() {
+        // The nominal seed is the baseline vector: one measurement for
+        // both, then one Rest trial per searchable group.
+        let k = kernels::dither::build_with_pixels(100);
+        let est = EnergyDelayEstimator::new(&k.dfg, k.mem.clone(), k.iter_marker);
+        let mut calls = 0;
+        power_map_with(&k.dfg, Objective::Energy, |modes| {
+            calls += 1;
+            est.measure(modes)
+        });
+        let groups = Grouping::chains(&k.dfg).searchable(&k.dfg).len();
+        assert_eq!(calls, 1 + groups);
+    }
+
+    #[test]
     fn power_mapping_is_deterministic() {
         let k = kernels::dither::build_with_pixels(100);
         let a = power_map(&k.dfg, k.mem.clone(), k.iter_marker, Objective::Performance);
@@ -294,14 +313,7 @@ mod tests {
 
     /// The assignment as an `R`/`N`/`S` letter string, one per node.
     fn mode_string(modes: &[VfMode]) -> String {
-        modes
-            .iter()
-            .map(|m| match m {
-                VfMode::Rest => 'R',
-                VfMode::Nominal => 'N',
-                VfMode::Sprint => 'S',
-            })
-            .collect()
+        modes.iter().map(|m| m.letter()).collect()
     }
 
     #[test]

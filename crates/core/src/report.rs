@@ -9,18 +9,8 @@
 //! reports inherit the workspace determinism contract (DESIGN.md §9).
 
 use crate::pipeline::CgraRun;
-use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::PeRole;
 use uecgra_probe::{PeReport, QueueReport, RunReport};
-
-/// Stable lowercase label of a clock domain.
-pub fn mode_label(mode: VfMode) -> &'static str {
-    match mode {
-        VfMode::Rest => "rest",
-        VfMode::Nominal => "nominal",
-        VfMode::Sprint => "sprint",
-    }
-}
 
 /// Build the telemetry report of one finished run.
 ///
@@ -44,7 +34,7 @@ pub fn run_report(name: impl Into<String>, kernel: Option<&str>, run: &CgraRun) 
                 x: x as u64,
                 y: y as u64,
                 op,
-                mode: mode_label(cfg.clk).to_string(),
+                mode: cfg.clk.to_string(),
                 rising_edges: act.rising_edges[y][x],
                 fires: act.fires[y][x],
                 bypass_tokens: act.bypass_tokens[y][x],

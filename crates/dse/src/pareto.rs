@@ -41,27 +41,16 @@ impl DsePoint {
     }
 }
 
-/// Render a mode assignment as one letter per node.
+/// Render a mode assignment as one letter per node
+/// ([`VfMode::letter`]).
 pub fn modes_string(modes: &[VfMode]) -> String {
-    modes
-        .iter()
-        .map(|m| match m {
-            VfMode::Rest => 'R',
-            VfMode::Nominal => 'N',
-            VfMode::Sprint => 'S',
-        })
-        .collect()
+    modes.iter().map(|m| m.letter()).collect()
 }
 
 /// Parse a [`modes_string`] rendering back into modes.
 pub fn parse_modes(s: &str) -> Option<Vec<VfMode>> {
     s.chars()
-        .map(|c| match c {
-            'R' => Some(VfMode::Rest),
-            'N' => Some(VfMode::Nominal),
-            'S' => Some(VfMode::Sprint),
-            _ => None,
-        })
+        .map(|c| VfMode::ALL.into_iter().find(|m| m.letter() == c))
         .collect()
 }
 

@@ -17,8 +17,9 @@
 //! the test oracle: both must produce bit-identical [`Activity`] (and
 //! therefore `RunReport`s) on every kernel. The contract is enforced
 //! by the differential suite (`tests/differential.rs`) over the paper
-//! kernels and seeded random fabrics, by the fault suite, and by
-//! `uecgra_dse::rtl_check`.
+//! kernels and seeded random fabrics, by the fault suite, and by the
+//! DSE's parity test (`crates/dse/tests/engine_parity.rs`) over the
+//! assignments the search recommends.
 //!
 //! # Scheduling model
 //!
