@@ -29,13 +29,7 @@ fn main() {
         kernels::bf::build_with_rounds(32),
     ] {
         let io = programs::run_on_core(k.name, k.iters, k.mem.clone()).expect("runs");
-        let program = match k.name {
-            "llist" => programs::llist_program(k.iters),
-            "dither" => programs::dither_program(k.iters),
-            "susan" => programs::susan_program(k.iters),
-            "fft" => programs::fft_program(k.iters),
-            _ => programs::bf_program(k.iters),
-        };
+        let program = programs::program(k.name, k.iters);
         let ooo = run_ooo(program, k.mem.clone(), OooParams::default()).expect("runs");
         let popt = RunRequest::new(&k)
             .policy(Policy::UePerfOpt)

@@ -29,7 +29,7 @@ fn main() {
             r2(row.popt_perf),
             r2(row.popt_eff)
         );
-        reports.extend(kernel_run_reports(&runs));
+        reports.extend(kernel_run_reports("", &runs));
         reports.push(metrics_report(
             format!("extra_kernels/{}", row.kernel),
             vec![

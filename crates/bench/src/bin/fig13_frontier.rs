@@ -23,7 +23,7 @@ fn main() {
             metrics.push((format!("{}_perf", p.label), p.perf));
             metrics.push((format!("{}_eff", p.label), p.eff));
         }
-        reports.extend(kernel_run_reports(&runs));
+        reports.extend(kernel_run_reports("fig13/", &runs));
         reports.push(metrics_report(format!("fig13/{}", k.name), metrics));
     }
     if let Some(path) = json {

@@ -2,7 +2,7 @@
 //! E-CGRA and both UE-CGRA mappings, rendered as ASCII heat maps with
 //! DVFS-mode glyphs.
 
-use uecgra_bench::{header, json_path, kernel_run_reports, write_reports};
+use uecgra_bench::{header, json_path, write_reports};
 use uecgra_clock::VfMode;
 use uecgra_core::experiments::{energy_contour, run_all_policies_many, SEED};
 use uecgra_core::pipeline::CgraRun;
@@ -65,9 +65,9 @@ fn main() {
         print_contour(&runs.eopt, "UE-CGRA EOpt");
     }
     if let Some(path) = json {
+        // The runs themselves are reported by `fig13_frontier`.
         let mut reports = Vec::new();
         for runs in &all {
-            reports.extend(kernel_run_reports(runs));
             let mut metrics = Vec::new();
             for (label, run) in [
                 ("E-CGRA", &runs.e),

@@ -105,9 +105,11 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
+    // Report names must be unique across children too: parse the aggregate.
+    let aggregate = RunReport::render_all(&all_reports);
+    RunReport::parse_all(&aggregate).unwrap_or_else(|e| panic!("aggregate report: {e}"));
     let out_path = json.unwrap_or_else(|| "report.json".into());
-    std::fs::write(&out_path, RunReport::render_all(&all_reports))
-        .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
+    std::fs::write(&out_path, aggregate).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!(
         "\naggregated {} validated run report(s) from {} binaries into {out_path}",
         all_reports.len(),

@@ -1,7 +1,7 @@
 //! Table I: power breakdowns of the dither kernel with and without
 //! power gating (P) and hierarchical clock gating (H).
 
-use uecgra_bench::{evaluation_kernels, header, json_path, kernel_run_reports, write_reports};
+use uecgra_bench::{evaluation_kernels, header, json_path, write_reports};
 use uecgra_core::experiments::{run_all_policies, table1, SEED};
 use uecgra_core::report::metrics_report;
 
@@ -33,9 +33,8 @@ fn main() {
     println!("stepwise; UE global clock ~4x E global clock before gating.");
 
     if let Some(path) = json {
-        // Full telemetry of the three underlying dither runs, plus the
-        // table rows as named scalars (per configuration × gating).
-        let mut reports = kernel_run_reports(&runs);
+        // The table rows as named scalars (per configuration × gating);
+        // the three dither runs are reported by `table2_kernels`.
         let mut metrics = Vec::new();
         for row in &rows {
             for (field, v) in [
@@ -50,7 +49,6 @@ fn main() {
                 metrics.push((format!("{}/{field}", row.label), v));
             }
         }
-        reports.push(metrics_report("table1_power", metrics));
-        write_reports(&path, &reports);
+        write_reports(&path, &[metrics_report("table1_power", metrics)]);
     }
 }

@@ -33,7 +33,7 @@ fn main() {
         );
     }
     if let Some(path) = json {
-        let mut reports: Vec<_> = all.iter().flat_map(kernel_run_reports).collect();
+        let mut reports: Vec<_> = all.iter().flat_map(|r| kernel_run_reports("", r)).collect();
         for row in &rows {
             reports.push(metrics_report(
                 format!("table2/{}", row.kernel),

@@ -1,7 +1,7 @@
 //! Table III: performance and energy efficiency of the integrated
 //! processor+CGRA system relative to the RV32IM core.
 
-use uecgra_bench::{evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports};
+use uecgra_bench::{evaluation_kernels, header, json_path, r2, write_reports};
 use uecgra_core::experiments::{run_all_policies_many, table3_row, SEED};
 use uecgra_core::pipeline::Policy;
 use uecgra_core::report::metrics_report;
@@ -58,7 +58,8 @@ fn main() {
     println!("UE EOpt efficiency 0.80-1.53x relative to the core.");
 
     if let Some(path) = json {
-        let mut reports: Vec<_> = all.iter().flat_map(kernel_run_reports).collect();
+        // The runs themselves are reported by `table2_kernels`.
+        let mut reports = Vec::new();
         for row in &rows {
             let mut metrics = vec![
                 ("ideal_recurrence".into(), row.ideal_recurrence as f64),

@@ -104,13 +104,13 @@ pub fn write_reports(path: &str, reports: &[RunReport]) {
 }
 
 /// Full telemetry reports for one kernel's three policy runs, named
-/// `<kernel>/<policy label>`.
-pub fn kernel_run_reports(runs: &KernelRuns) -> Vec<RunReport> {
+/// `<prefix><kernel>/<policy label>` (names are unique in `report.json`).
+pub fn kernel_run_reports(prefix: &str, runs: &KernelRuns) -> Vec<RunReport> {
     [&runs.e, &runs.eopt, &runs.popt]
         .into_iter()
         .map(|run| {
             run_report(
-                format!("{}/{}", runs.kernel.name, run.policy.label()),
+                format!("{prefix}{}/{}", runs.kernel.name, run.policy.label()),
                 Some(runs.kernel.name),
                 run,
             )

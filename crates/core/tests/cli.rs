@@ -139,6 +139,43 @@ fn check_report_rejects_non_canonical_documents() {
 }
 
 #[test]
+fn check_report_rejects_shared_report_names() {
+    let src = write_source("uecgra_cli_dupname.loop", ACCUMULATE);
+    let json = std::env::temp_dir().join("uecgra_cli_dupname.json");
+    let out = Command::new(bin())
+        .args([
+            "run",
+            src.to_str().unwrap(),
+            "--json",
+            json.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    // The same run twice: canonical bytes, but one name for two reports.
+    let text = std::fs::read_to_string(&json).expect("report written");
+    let report = uecgra_probe::RunReport::parse_all(&text)
+        .expect("parses")
+        .remove(0);
+    let name = report.name.clone();
+    std::fs::write(
+        &json,
+        uecgra_probe::RunReport::render_all(&[report.clone(), report]),
+    )
+    .expect("write");
+    let out = Command::new(bin())
+        .args(["check-report", json.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("share the name `{name}`")),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn parse_errors_are_reported_with_nonzero_exit() {
     let src = write_source("uecgra_cli_bad.loop", "for i in 0..4 { x = ; }");
     let out = Command::new(bin())

@@ -767,15 +767,22 @@ impl RunReport {
     ///
     /// # Errors
     ///
-    /// Returns a [`SchemaError`] on malformed JSON or schema
-    /// mismatches.
+    /// Returns a [`SchemaError`] on malformed JSON, schema mismatches,
+    /// or two reports that share a name (a name identifies one run).
     pub fn parse_all(text: &str) -> Result<Vec<RunReport>, SchemaError> {
         let doc = Json::parse(text)?;
-        doc.as_array()
+        let reports = doc
+            .as_array()
             .ok_or_else(|| SchemaError::new("a report document must be a JSON array"))?
             .iter()
             .map(RunReport::from_json)
-            .collect()
+            .collect::<Result<Vec<RunReport>, SchemaError>>()?;
+        let mut names = std::collections::HashSet::new();
+        if let Some(r) = reports.iter().find(|r| !names.insert(r.name.as_str())) {
+            let name = &r.name;
+            return Err(SchemaError::new(format!("reports share the name `{name}`")));
+        }
+        Ok(reports)
     }
 }
 
@@ -966,6 +973,18 @@ mod tests {
         let back = RunReport::parse_all(&text).unwrap();
         assert_eq!(back, vec![report]);
         assert_eq!(RunReport::render_all(&back), text);
+    }
+
+    #[test]
+    fn shared_report_names_are_rejected() {
+        let mut other = sample_report();
+        other.iterations = 400;
+        let text = RunReport::render_all(&[sample_report(), other]);
+        let err = RunReport::parse_all(&text).unwrap_err();
+        assert!(
+            err.message.contains("reports share the name `dither/POpt`"),
+            "{err}"
+        );
     }
 
     #[test]

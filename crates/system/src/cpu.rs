@@ -221,7 +221,7 @@ impl Cpu {
             // Load-use interlock: one bubble when this instruction
             // sources the previous load's destination.
             if let Some(rd) = last_load_rd.take() {
-                if rd != 0 && reads(&instr).contains(&rd) {
+                if rd != 0 && instr.sources().contains(&Some(rd)) {
                     cycles += t.load_use_bubble;
                 }
             }
@@ -376,18 +376,6 @@ fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
                 a % b
             }
         }
-    }
-}
-
-/// Registers an instruction reads (for the load-use interlock).
-fn reads(i: &Instr) -> Vec<u8> {
-    match *i {
-        Instr::Lui { .. } | Instr::Jal { .. } | Instr::Ecall => vec![],
-        Instr::Jalr { rs1, .. } | Instr::Lw { rs1, .. } | Instr::OpImm { rs1, .. } => vec![rs1],
-        Instr::Branch { rs1, rs2, .. }
-        | Instr::Sw { rs1, rs2, .. }
-        | Instr::Op { rs1, rs2, .. }
-        | Instr::MulDiv { rs1, rs2, .. } => vec![rs1, rs2],
     }
 }
 

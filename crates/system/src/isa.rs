@@ -209,6 +209,35 @@ fn dec_j_imm(w: u32) -> i32 {
 }
 
 impl Instr {
+    /// The registers this instruction reads (`rs1`, then `rs2`).
+    pub fn sources(self) -> [Option<u8>; 2] {
+        match self {
+            Instr::Lui { .. } | Instr::Jal { .. } | Instr::Ecall => [None, None],
+            Instr::Jalr { rs1, .. } | Instr::Lw { rs1, .. } | Instr::OpImm { rs1, .. } => {
+                [Some(rs1), None]
+            }
+            Instr::Branch { rs1, rs2, .. }
+            | Instr::Sw { rs1, rs2, .. }
+            | Instr::Op { rs1, rs2, .. }
+            | Instr::MulDiv { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
+        }
+    }
+
+    /// The register this instruction writes; `None` when it writes
+    /// none or writes the hard-wired zero register `x0`.
+    pub fn dest(self) -> Option<u8> {
+        match self {
+            Instr::Lui { rd, .. }
+            | Instr::Jal { rd, .. }
+            | Instr::Jalr { rd, .. }
+            | Instr::Lw { rd, .. }
+            | Instr::OpImm { rd, .. }
+            | Instr::Op { rd, .. }
+            | Instr::MulDiv { rd, .. } => (rd != 0).then_some(rd),
+            Instr::Branch { .. } | Instr::Sw { .. } | Instr::Ecall => None,
+        }
+    }
+
     /// Encode to the standard RV32 machine word.
     ///
     /// # Panics
@@ -458,6 +487,24 @@ mod tests {
         );
         // ecall
         assert_eq!(Instr::Ecall.encode(), 0x0000_0073);
+    }
+
+    #[test]
+    fn register_use() {
+        let sw = Instr::Sw {
+            rs1: 3,
+            rs2: 4,
+            offset: 0,
+        };
+        assert_eq!((sw.sources(), sw.dest()), ([Some(3), Some(4)], None));
+        let lw = Instr::Lw {
+            rd: 5,
+            rs1: 3,
+            offset: 0,
+        };
+        assert_eq!((lw.sources(), lw.dest()), ([Some(3), None], Some(5)));
+        let jal_x0 = Instr::Jal { rd: 0, offset: 8 };
+        assert_eq!((jal_x0.sources(), jal_x0.dest()), ([None, None], None));
     }
 
     #[test]

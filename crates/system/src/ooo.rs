@@ -54,32 +54,6 @@ pub struct OooResult {
     pub mem: Vec<u32>,
 }
 
-fn reads(i: &Instr) -> (Option<u8>, Option<u8>) {
-    match *i {
-        Instr::Lui { .. } | Instr::Jal { .. } | Instr::Ecall => (None, None),
-        Instr::Jalr { rs1, .. } | Instr::Lw { rs1, .. } | Instr::OpImm { rs1, .. } => {
-            (Some(rs1), None)
-        }
-        Instr::Branch { rs1, rs2, .. }
-        | Instr::Sw { rs1, rs2, .. }
-        | Instr::Op { rs1, rs2, .. }
-        | Instr::MulDiv { rs1, rs2, .. } => (Some(rs1), Some(rs2)),
-    }
-}
-
-fn writes(i: &Instr) -> Option<u8> {
-    match *i {
-        Instr::Lui { rd, .. }
-        | Instr::Jal { rd, .. }
-        | Instr::Jalr { rd, .. }
-        | Instr::Lw { rd, .. }
-        | Instr::OpImm { rd, .. }
-        | Instr::Op { rd, .. }
-        | Instr::MulDiv { rd, .. } => (rd != 0).then_some(rd),
-        _ => None,
-    }
-}
-
 /// Schedule a dynamic trace on the idealized OoO machine.
 pub fn schedule(trace: &[TraceEntry], params: OooParams) -> u64 {
     let mut reg_ready = [0u64; 32];
@@ -91,12 +65,8 @@ pub fn schedule(trace: &[TraceEntry], params: OooParams) -> u64 {
 
     for (i, entry) in trace.iter().enumerate() {
         let fetch_t = i as u64 / params.issue_width;
-        let (r1, r2) = reads(&entry.instr);
         let mut issue = fetch_t;
-        if let Some(r) = r1 {
-            issue = issue.max(reg_ready[r as usize]);
-        }
-        if let Some(r) = r2 {
+        for r in entry.instr.sources().into_iter().flatten() {
             issue = issue.max(reg_ready[r as usize]);
         }
         // Window constraint: cannot issue while the instruction
@@ -126,7 +96,7 @@ pub fn schedule(trace: &[TraceEntry], params: OooParams) -> u64 {
         if let Some(addr) = entry.addr {
             mem_ready.insert(addr, complete);
         }
-        if let Some(rd) = writes(&entry.instr) {
+        if let Some(rd) = entry.instr.dest() {
             reg_ready[rd as usize] = complete;
         }
 
@@ -213,10 +183,7 @@ mod tests {
             kernels::fft::build_with_group(40),
         ] {
             let in_order = programs::run_on_core(k.name, k.iters, k.mem.clone()).unwrap();
-            let program = match k.name {
-                "dither" => programs::dither_program(k.iters),
-                _ => programs::fft_program(k.iters),
-            };
+            let program = programs::program(k.name, k.iters);
             let ooo = run_ooo(program, k.mem.clone(), OooParams::default()).unwrap();
             assert_eq!(ooo.mem, in_order.mem, "{}: functional mismatch", k.name);
             assert!(

@@ -190,6 +190,23 @@ pub fn bf_program(rounds: usize) -> Vec<u32> {
     a.assemble()
 }
 
+/// The RV32IM program of the kernel named `name` at `iters`
+/// iterations.
+///
+/// # Panics
+///
+/// Panics on a name that is not one of the five paper kernels.
+pub fn program(name: &str, iters: usize) -> Vec<u32> {
+    match name {
+        "llist" => llist_program(iters),
+        "dither" => dither_program(iters),
+        "susan" => susan_program(iters),
+        "fft" => fft_program(iters),
+        "bf" => bf_program(iters),
+        other => panic!("unknown kernel {other}"),
+    }
+}
+
 /// Run a kernel's program on the core over the kernel's own memory
 /// image.
 ///
@@ -197,15 +214,7 @@ pub fn bf_program(rounds: usize) -> Vec<u32> {
 ///
 /// Propagates any [`CpuError`] (none occur for well-formed kernels).
 pub fn run_on_core(name: &str, iters: usize, mem: Vec<u32>) -> Result<RunResult, CpuError> {
-    let program = match name {
-        "llist" => llist_program(iters),
-        "dither" => dither_program(iters),
-        "susan" => susan_program(iters),
-        "fft" => fft_program(iters),
-        "bf" => bf_program(iters),
-        other => panic!("unknown kernel {other}"),
-    };
-    Cpu::new(program, mem).run()
+    Cpu::new(program(name, iters), mem).run()
 }
 
 #[cfg(test)]
