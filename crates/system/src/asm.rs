@@ -4,7 +4,7 @@
 //! mnemonic methods append instructions, [`Assembler::label`] marks
 //! positions (or [`Assembler::forward`]/[`Assembler::bind`] for
 //! forward references), and [`Assembler::assemble`] resolves branch
-//! offsets and emits encoded machine words.
+//! offsets and returns the checked [`Instr`] list the core runs.
 
 use crate::isa::{AluOp, BranchOp, Instr, MulOp};
 
@@ -286,12 +286,13 @@ impl Assembler {
         self.push(Instr::Ecall)
     }
 
-    /// Resolve labels and encode.
+    /// Resolve labels and check each instruction's field ranges.
     ///
     /// # Panics
     ///
-    /// Panics on unbound labels.
-    pub fn assemble(&self) -> Vec<u32> {
+    /// Panics on unbound labels and on any field [`Instr::check`]
+    /// rejects, such as a branch more than 4 KiB from its target.
+    pub fn assemble(&self) -> Vec<Instr> {
         self.instrs
             .iter()
             .enumerate()
@@ -300,8 +301,8 @@ impl Assembler {
                     let target = self.labels[l.0].expect("unbound label");
                     (target as i32 - idx as i32) * 4
                 };
-                match *p {
-                    Pending::Fixed(i) => i.encode(),
+                let instr = match *p {
+                    Pending::Fixed(i) => i,
                     Pending::Branch {
                         op,
                         rs1,
@@ -312,14 +313,14 @@ impl Assembler {
                         rs1,
                         rs2,
                         offset: resolve(target),
-                    }
-                    .encode(),
+                    },
                     Pending::Jal { rd, target } => Instr::Jal {
                         rd,
                         offset: resolve(target),
-                    }
-                    .encode(),
-                }
+                    },
+                };
+                instr.check();
+                instr
             })
             .collect()
     }
@@ -339,23 +340,26 @@ mod tests {
         a.jal_to(0, top);
         a.bind(done);
         a.ecall();
-        let words = a.assemble();
-        assert_eq!(words.len(), 4);
-        // The beq at index 1 targets index 3: offset +8.
-        let decoded = Instr::decode(words[1]).unwrap();
+        // The beq at index 1 targets index 3 (+8); the jal at index 2
+        // targets index 0 (-8).
         assert_eq!(
-            decoded,
-            Instr::Branch {
-                op: BranchOp::Eq,
-                rs1: 1,
-                rs2: 2,
-                offset: 8
-            }
-        );
-        // The jal at index 2 targets index 0: offset -8.
-        assert_eq!(
-            Instr::decode(words[2]).unwrap(),
-            Instr::Jal { rd: 0, offset: -8 }
+            a.assemble(),
+            [
+                Instr::OpImm {
+                    op: AluOp::Add,
+                    rd: 1,
+                    rs1: 1,
+                    imm: 1
+                },
+                Instr::Branch {
+                    op: BranchOp::Eq,
+                    rs1: 1,
+                    rs2: 2,
+                    offset: 8
+                },
+                Instr::Jal { rd: 0, offset: -8 },
+                Instr::Ecall,
+            ]
         );
     }
 
@@ -389,6 +393,22 @@ mod tests {
         let mut a = Assembler::new();
         let l = a.forward();
         a.beq_to(0, 0, l);
+        a.assemble();
+    }
+
+    #[test]
+    #[should_panic(expected = "branch offset 4100 out of range")]
+    fn far_branch_panics() {
+        // 1,024 instructions between a branch and its label put the
+        // target 4,100 bytes away, past the ±4 KiB a branch reaches.
+        let mut a = Assembler::new();
+        let far = a.forward();
+        a.beq_to(0, 0, far);
+        for _ in 0..1024 {
+            a.addi(1, 1, 1);
+        }
+        a.bind(far);
+        a.ecall();
         a.assemble();
     }
 }

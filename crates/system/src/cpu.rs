@@ -2,12 +2,13 @@
 //!
 //! The paper's comparison core is a 750 MHz in-order RV32IM similar in
 //! implementation style to the CGRAs (Section VI-D). This simulator
-//! executes encoded machine words with a single-issue in-order timing
-//! model: one instruction per cycle, plus a one-cycle load-use bubble,
-//! a taken-branch redirect penalty, and multi-cycle multiply/divide —
-//! the classic five-stage-pipeline cost structure.
+//! executes the assembler's [`Instr`] list, indexed by byte PC, with a
+//! single-issue in-order timing model: one instruction per cycle, plus
+//! a one-cycle load-use bubble, a taken-branch redirect penalty, and
+//! multi-cycle multiply/divide — the classic five-stage-pipeline cost
+//! structure.
 
-use crate::isa::{AluOp, BranchOp, DecodeError, Instr, MulOp};
+use crate::isa::{AluOp, BranchOp, Instr, MulOp};
 
 /// Timing parameters of the in-order pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +83,6 @@ pub struct RunResult {
 /// Errors raised during execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CpuError {
-    /// Fetch or decode failed.
-    Decode(DecodeError),
     /// PC left the program.
     PcOutOfRange(u32),
     /// Unaligned or out-of-bounds data access.
@@ -95,7 +94,6 @@ pub enum CpuError {
 impl std::fmt::Display for CpuError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CpuError::Decode(e) => write!(f, "{e}"),
             CpuError::PcOutOfRange(pc) => write!(f, "pc {pc:#x} out of range"),
             CpuError::BadAccess(a) => write!(f, "bad data access at {a:#x}"),
             CpuError::Runaway => write!(f, "instruction budget exhausted"),
@@ -105,17 +103,12 @@ impl std::fmt::Display for CpuError {
 
 impl std::error::Error for CpuError {}
 
-impl From<DecodeError> for CpuError {
-    fn from(e: DecodeError) -> Self {
-        CpuError::Decode(e)
-    }
-}
-
 /// The core.
 #[derive(Debug, Clone)]
 pub struct Cpu {
-    /// Program memory (encoded words; PC is a byte address).
-    imem: Vec<u32>,
+    /// Program memory (one instruction per 4 bytes; PC is a byte
+    /// address).
+    imem: Vec<Instr>,
     /// Data memory (words; data addresses are byte addresses).
     dmem: Vec<u32>,
     regs: [u32; 32],
@@ -126,7 +119,7 @@ pub struct Cpu {
 
 impl Cpu {
     /// Create a core with a program and a word-image data memory.
-    pub fn new(program: Vec<u32>, dmem: Vec<u32>) -> Cpu {
+    pub fn new(program: Vec<Instr>, dmem: Vec<u32>) -> Cpu {
         Cpu {
             imem: program,
             dmem,
@@ -177,10 +170,10 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Returns a [`CpuError`] on decode failures, bad memory accesses,
-    /// a wild PC, or budget exhaustion.
+    /// Returns a [`CpuError`] on bad memory accesses, a wild PC, or
+    /// budget exhaustion.
     pub fn run(self) -> Result<RunResult, CpuError> {
-        self.run_inner(None).map(|(r, _)| r)
+        self.run_inner(None)
     }
 
     /// Like [`Cpu::run`], additionally returning the dynamic
@@ -192,13 +185,10 @@ impl Cpu {
     pub fn run_with_trace(self) -> Result<(RunResult, Vec<TraceEntry>), CpuError> {
         let mut trace = Vec::new();
         let r = self.run_inner(Some(&mut trace))?;
-        Ok((r.0, trace))
+        Ok((r, trace))
     }
 
-    fn run_inner(
-        mut self,
-        mut trace: Option<&mut Vec<TraceEntry>>,
-    ) -> Result<(RunResult, ()), CpuError> {
+    fn run_inner(mut self, mut trace: Option<&mut Vec<TraceEntry>>) -> Result<RunResult, CpuError> {
         let t = self.timing;
         let mut cycles: u64 = 0;
         let mut mix = InstrMix::default();
@@ -214,7 +204,7 @@ impl Cpu {
             if !self.pc.is_multiple_of(4) || idx >= self.imem.len() {
                 return Err(CpuError::PcOutOfRange(self.pc));
             }
-            let instr = Instr::decode(self.imem[idx])?;
+            let instr = self.imem[idx];
             cycles += 1;
             let mut eff_addr: Option<u32> = None;
 
@@ -311,15 +301,12 @@ impl Cpu {
                     if let Some(t) = trace.as_deref_mut() {
                         t.push(TraceEntry { instr, addr: None });
                     }
-                    return Ok((
-                        RunResult {
-                            cycles,
-                            mix,
-                            mem: self.dmem,
-                            regs: self.regs,
-                        },
-                        (),
-                    ));
+                    return Ok(RunResult {
+                        cycles,
+                        mix,
+                        mem: self.dmem,
+                        regs: self.regs,
+                    });
                 }
             }
             if let Some(t) = trace.as_deref_mut() {

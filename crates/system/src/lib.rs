@@ -1,9 +1,10 @@
 //! System-integration substrate: the RV32IM comparison core and the
 //! offload cost model (paper Section VI-D, Table III).
 //!
-//! * [`isa`] — RV32IM instruction definitions with real binary
-//!   encode/decode;
-//! * [`asm`] — a label-resolving assembler for building programs;
+//! * [`isa`] — RV32IM instruction definitions, each field checked
+//!   against its RV32 encoding range;
+//! * [`asm`] — a label-resolving assembler that returns the checked
+//!   instructions the core runs;
 //! * [`cpu`] — functional execution with an in-order single-issue
 //!   timing model (load-use interlock, redirect penalties, multi-cycle
 //!   mul/div);

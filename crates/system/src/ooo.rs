@@ -117,7 +117,7 @@ pub fn schedule(trace: &[TraceEntry], params: OooParams) -> u64 {
 ///
 /// Propagates functional-execution errors.
 pub fn run_ooo(
-    program: Vec<u32>,
+    program: Vec<Instr>,
     dmem: Vec<u32>,
     params: OooParams,
 ) -> Result<OooResult, CpuError> {

@@ -4,7 +4,6 @@ use uecgra_clock::{ClockSet, UnsafeLut, VfMode};
 use uecgra_compiler::bitstream::{Bypass, Dir, OperandSel, PeConfig, PeRole};
 use uecgra_dfg::{kernels, Op, PE_OPS};
 use uecgra_model::{DfgSimulator, SimConfig, StopReason};
-use uecgra_system::{AluOp, BranchOp, Instr, MulOp};
 use uecgra_util::{check::forall, SplitMix64};
 
 fn arb_mode(rng: &mut SplitMix64) -> VfMode {
@@ -65,100 +64,6 @@ fn op_eval_algebra() {
         assert_eq!(Op::Cp0.eval(a, b), a);
         assert_eq!(Op::Cp1.eval(a, b), b);
         assert_eq!(Op::Xor.eval(Op::Xor.eval(a, b), b), a);
-    });
-}
-
-/// Every RV32IM instruction the assembler can emit round-trips
-/// through its binary encoding.
-#[test]
-fn isa_encode_decode_roundtrip() {
-    forall(256, |rng| {
-        let rd = rng.range(32) as u8;
-        let rs1 = rng.range(32) as u8;
-        let rs2 = rng.range(32) as u8;
-        let imm = rng.range(4096) as i32 - 2048;
-        let shamt = rng.range(32) as i32;
-        let branch_off = rng.range(4096) as i32 - 2048;
-        let alu = *rng.pick(&[
-            AluOp::Add,
-            AluOp::Sub,
-            AluOp::Sll,
-            AluOp::Slt,
-            AluOp::Sltu,
-            AluOp::Xor,
-            AluOp::Srl,
-            AluOp::Sra,
-            AluOp::Or,
-            AluOp::And,
-        ]);
-        let mul = *rng.pick(&[
-            MulOp::Mul,
-            MulOp::Mulh,
-            MulOp::Mulhsu,
-            MulOp::Mulhu,
-            MulOp::Div,
-            MulOp::Divu,
-            MulOp::Rem,
-            MulOp::Remu,
-        ]);
-        let br = *rng.pick(&[
-            BranchOp::Eq,
-            BranchOp::Ne,
-            BranchOp::Lt,
-            BranchOp::Ge,
-            BranchOp::Ltu,
-            BranchOp::Geu,
-        ]);
-        let mut cases = vec![
-            Instr::Op {
-                op: alu,
-                rd,
-                rs1,
-                rs2,
-            },
-            Instr::MulDiv {
-                op: mul,
-                rd,
-                rs1,
-                rs2,
-            },
-            Instr::Branch {
-                op: br,
-                rs1,
-                rs2,
-                offset: branch_off & !1,
-            },
-            Instr::Lw {
-                rd,
-                rs1,
-                offset: imm,
-            },
-            Instr::Sw {
-                rs1,
-                rs2,
-                offset: imm,
-            },
-            Instr::Jal {
-                rd,
-                offset: (imm & !1) * 2,
-            },
-        ];
-        if alu != AluOp::Sub {
-            let i = if matches!(alu, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
-                shamt
-            } else {
-                imm
-            };
-            cases.push(Instr::OpImm {
-                op: alu,
-                rd,
-                rs1,
-                imm: i,
-            });
-        }
-        for instr in cases {
-            assert_eq!(Instr::decode(instr.encode()), Ok(instr));
-        }
     });
 }
 
