@@ -209,6 +209,29 @@ impl ClockSet {
     pub fn pll_to_nominal_cycles(&self, t: u64) -> f64 {
         t as f64 / self.period(VfMode::Nominal) as f64
     }
+
+    /// Steady-state initiation interval in nominal cycles from the PLL
+    /// ticks at which a loop's marker fired, with the first `skip`
+    /// intervals discarded as warmup. Returns `None` with fewer than
+    /// two post-warmup fires.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uecgra_clock::ClockSet;
+    /// let clocks = ClockSet::default(); // nominal period 3 ticks
+    /// assert_eq!(clocks.steady_ii(&[0, 9, 15, 21], 1), Some(2.0));
+    /// assert_eq!(clocks.steady_ii(&[0, 9], 1), None);
+    /// ```
+    pub fn steady_ii(&self, marker_times: &[u64], skip: usize) -> Option<f64> {
+        if marker_times.len() < skip + 2 {
+            return None;
+        }
+        let t0 = marker_times[skip];
+        let t1 = *marker_times.last().expect("len checked above");
+        let n = (marker_times.len() - 1 - skip) as f64;
+        Some(self.pll_to_nominal_cycles(t1 - t0) / n)
+    }
 }
 
 /// Errors from [`ClockSet::new`].

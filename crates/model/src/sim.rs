@@ -141,16 +141,9 @@ pub struct SimResult {
 impl SimResult {
     /// Steady-state initiation interval in nominal cycles, measured
     /// from marker firings with the first `skip` intervals discarded
-    /// as warmup. Returns `None` with fewer than two post-warmup fires.
+    /// as warmup ([`ClockSet::steady_ii`]).
     pub fn steady_ii(&self, skip: usize) -> Option<f64> {
-        let times = &self.marker_times;
-        if times.len() < skip + 2 {
-            return None;
-        }
-        let t0 = times[skip];
-        let t1 = *times.last().expect("len checked above");
-        let n = (times.len() - 1 - skip) as f64;
-        Some(self.clocks.pll_to_nominal_cycles(t1 - t0) / n)
+        self.clocks.steady_ii(&self.marker_times, skip)
     }
 
     /// Throughput in iterations per nominal cycle (inverse of

@@ -166,17 +166,11 @@ pub struct Activity {
 }
 
 impl Activity {
-    /// Steady-state initiation interval in nominal cycles (see
-    /// `uecgra_model::SimResult::steady_ii`).
+    /// Steady-state initiation interval in nominal cycles, measured
+    /// from marker firings with the first `skip` intervals discarded
+    /// as warmup ([`ClockSet::steady_ii`]).
     pub fn steady_ii(&self, skip: usize) -> Option<f64> {
-        let times = &self.marker_times;
-        if times.len() < skip + 2 {
-            return None;
-        }
-        let t0 = times[skip];
-        let t1 = *times.last().expect("len checked");
-        let n = (times.len() - 1 - skip) as f64;
-        Some(self.clocks.pll_to_nominal_cycles(t1 - t0) / n)
+        self.clocks.steady_ii(&self.marker_times, skip)
     }
 
     /// Iterations completed.
