@@ -32,7 +32,7 @@ pub mod search;
 
 pub use cache::{EvalCache, CACHE_FORMAT_VERSION};
 pub use key::{combine, digest_bytes, digest_json, Digest};
-pub use pareto::{dominates, modes_string, pareto_frontier, parse_modes, DsePoint};
+pub use pareto::{dominates, modes_string, pareto_frontier, DsePoint};
 pub use rtl_check::rtl_crosscheck;
 pub use search::{
     candidate_key, config_digest, explore, explore_points, DseConfig, DseOutcome, MAX_BUDGET,

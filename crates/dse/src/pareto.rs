@@ -47,13 +47,6 @@ pub fn modes_string(modes: &[VfMode]) -> String {
     modes.iter().map(|m| m.letter()).collect()
 }
 
-/// Parse a [`modes_string`] rendering back into modes.
-pub fn parse_modes(s: &str) -> Option<Vec<VfMode>> {
-    s.chars()
-        .map(|c| VfMode::ALL.into_iter().find(|m| m.letter() == c))
-        .collect()
-}
-
 /// Does `a` dominate `b` on (delay, energy, EDP)?
 pub fn dominates(a: &EnergyDelay, b: &EnergyDelay) -> bool {
     let (ad, ae, ap) = (1.0 / a.throughput, a.energy_per_iter, a.edp());
@@ -144,9 +137,7 @@ mod tests {
 
     #[test]
     fn modes_string_round_trips() {
-        let modes = vec![VfMode::Rest, VfMode::Nominal, VfMode::Sprint];
+        let modes = [VfMode::Rest, VfMode::Nominal, VfMode::Sprint];
         assert_eq!(modes_string(&modes), "RNS");
-        assert_eq!(parse_modes("RNS"), Some(modes));
-        assert_eq!(parse_modes("RNX"), None);
     }
 }
