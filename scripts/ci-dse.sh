@@ -31,18 +31,10 @@ SCRATCH="$(mktemp -d)"
 trap 'rm -rf "${SCRATCH}"' EXIT
 
 echo "== CLI: cold vs warm cache, byte compare"
-cat > "${SCRATCH}/accumulate.loop" <<'EOF'
-array src @ 16;
-array dst @ 128;
-for i in 0..32 carry (acc = 0) {
-    acc = acc + src[i];
-    dst[i] = acc;
-}
-EOF
-./target/release/uecgra dse "${SCRATCH}/accumulate.loop" \
+./target/release/uecgra dse examples/accumulate.loop \
     --cache "${SCRATCH}/cache.json" --json "${SCRATCH}/cold.json"
 cp "${SCRATCH}/cache.json" "${SCRATCH}/cache-cold.json"
-./target/release/uecgra dse "${SCRATCH}/accumulate.loop" \
+./target/release/uecgra dse examples/accumulate.loop \
     --cache "${SCRATCH}/cache.json" --json "${SCRATCH}/warm.json"
 cmp "${SCRATCH}/cold.json" "${SCRATCH}/warm.json"
 cmp "${SCRATCH}/cache.json" "${SCRATCH}/cache-cold.json"
