@@ -1,5 +1,5 @@
 //! DSE sweep over the Table II kernels: run the design-space explorer
-//! on every evaluation kernel with one shared evaluation cache, print
+//! on every evaluation kernel with one in-memory evaluation cache, print
 //! the frontier-vs-greedy comparison, and enforce the dominance gate
 //! (the frontier's best EDP must match or beat the paper's greedy
 //! `power_map` on every kernel — structural in the explorer, asserted
@@ -15,9 +15,7 @@
 //!
 //! * `--json <path>` — write one report per kernel (dse
 //!   section only; no timings, so the bytes are identical at any
-//!   `UECGRA_THREADS` and across cold/warm caches).
-//! * `--cache <path>` — persistent evaluation cache (loaded if
-//!   present, saved back after the sweep).
+//!   `UECGRA_THREADS`).
 //! * `--budget <N>` — unique-evaluation budget per kernel, at most
 //!   `uecgra_dse::MAX_BUDGET` (2^20).
 //!
@@ -31,18 +29,16 @@ use uecgra_core::experiments::SEED;
 use uecgra_dse::{explore, rtl_crosscheck, DseConfig, EvalCache, MAX_BUDGET};
 use uecgra_probe::RunReport;
 
-const USAGE: &str = "[--json <path>] [--cache <path>] [--budget N]";
+const USAGE: &str = "[--json <path>] [--budget N]";
 
 struct Flags {
     json: Option<String>,
-    cache: Option<String>,
     budget: usize,
 }
 
 fn flags() -> Flags {
     let mut f = Flags {
         json: None,
-        cache: None,
         budget: 256,
     };
     let mut argv = std::env::args().skip(1);
@@ -53,7 +49,6 @@ fn flags() -> Flags {
         };
         match flag.as_str() {
             "--json" => f.json = Some(value()),
-            "--cache" => f.cache = Some(value()),
             "--budget" => {
                 f.budget = match value().parse() {
                     Ok(n) if (1..=MAX_BUDGET).contains(&n) => n,
@@ -71,10 +66,7 @@ fn flags() -> Flags {
 
 fn main() {
     let f = flags();
-    let cache = match &f.cache {
-        Some(path) => EvalCache::load(path).expect("loading evaluation cache"),
-        None => EvalCache::new(),
-    };
+    let cache = EvalCache::new();
     let cfg = DseConfig {
         seed: SEED,
         budget: f.budget,
@@ -129,10 +121,6 @@ fn main() {
         cache.misses(),
         cache.hit_rate() * 100.0
     );
-    if let Some(path) = &f.cache {
-        cache.save(path).expect("saving evaluation cache");
-        eprintln!("wrote {} cache entries to {path}", cache.len());
-    }
     if let Some(path) = &f.json {
         write_reports(path, &reports);
     }

@@ -7,7 +7,7 @@
 //! uecgra compile <source.loop> [--policy e|eopt|popt] [--seed N]
 //!                [--mem-words N]               # print the mapping
 //! uecgra dse <source.loop> [--seed N] [--budget N]
-//!            [--cache <cache.json>] [--json <report.json>]
+//!            [--json <report.json>]
 //! uecgra check-report <report.json>            # round-trip validate
 //! ```
 //!
@@ -29,12 +29,12 @@
 //!
 //! `dse` explores VF-mode assignments of the lowered (logical) DFG
 //! through the analytical model and prints the Pareto frontier over
-//! (delay, energy, EDP); `--cache` persists the memoized evaluation
-//! cache across invocations and `--json` writes a report
-//! with the `dse` section. `--budget` is at most `cli::MAX_BUDGET`
-//! (2^20), which caps the exhaustive search at 3^12 assignments. Unlike
-//! `run`, a `dse` report carries **no timings**: its bytes are
-//! identical across thread counts and across cold vs warm caches.
+//! (delay, energy, EDP); `--json` writes a report with the `dse`
+//! section. Model measurements are memoized for the one run only.
+//! `--budget` is at most `cli::MAX_BUDGET` (2^20), which caps the
+//! exhaustive search at 3^12 assignments. Unlike `run`, a `dse` report
+//! carries **no timings**: its bytes are identical across thread
+//! counts.
 //!
 //! Pipeline failures print the full cause chain:
 //!
@@ -136,33 +136,28 @@ fn source_stem(source: &str) -> &str {
 /// logical power mapper) and print the Pareto frontier. The `--json`
 /// report is fully deterministic: no timings, no engine tag, and no
 /// cache statistics (those go to stderr), so its bytes are identical
-/// across thread counts and cold vs warm caches.
+/// across thread counts.
 fn dse_command(
     args: &CliArgs,
     dfg: &uecgra_dfg::Dfg,
     marker: uecgra_dfg::NodeId,
     mem: Vec<u32>,
-) -> Result<(), CliError> {
+) -> Result<(), Error> {
     use uecgra_dse::{explore, DseConfig, EvalCache};
 
     let cfg = DseConfig {
         seed: args.seed,
         budget: args.budget,
     };
-    let cache = match &args.cache {
-        Some(path) => EvalCache::load(path)?,
-        None => EvalCache::new(),
-    };
-    let warm_entries = cache.len();
+    let cache = EvalCache::new();
     let outcome = explore(dfg, mem, marker, &[], &cfg, &cache);
     eprintln!(
         "dse: {} search over {} groups: {} evaluations, {} unique; \
-         cache {} -> {} entries, hit rate {:.0}%",
+         cache {} entries, hit rate {:.0}%",
         outcome.strategy,
         outcome.groups,
         outcome.evaluations,
         outcome.unique_configs,
-        warm_entries,
         cache.len(),
         cache.hit_rate() * 100.0
     );
@@ -203,10 +198,6 @@ fn dse_command(
         }
     );
 
-    if let Some(path) = &args.cache {
-        cache.save(path)?;
-        eprintln!("wrote {} cache entries to {path}", cache.len());
-    }
     if let Some(path) = &args.json {
         let report = RunReport {
             name: format!("{}/dse", source_stem(&args.source)),
@@ -276,7 +267,7 @@ fn real_main() -> Result<(), CliError> {
 
     if args.command == "dse" {
         require_steady_state(program.nest.trip_count.into())?;
-        return dse_command(&args, &dfg, marker, mem);
+        return Ok(dse_command(&args, &dfg, marker, mem)?);
     }
 
     let policy = match args.policy.as_str() {

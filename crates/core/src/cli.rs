@@ -47,8 +47,6 @@ pub struct CliArgs {
     /// DSE unique-evaluation budget (`dse` subcommand only; at most
     /// [`MAX_BUDGET`]).
     pub budget: usize,
-    /// DSE persistent evaluation-cache path (`dse` subcommand only).
-    pub cache: Option<String>,
 }
 
 /// The one-line usage string.
@@ -56,7 +54,7 @@ pub fn usage() -> String {
     format!(
         "usage: uecgra <run|compile|dse|check-report> <file> [--policy e|eopt|popt] \
          [--seed N] [--mem-words N (max {MAX_MEM_WORDS})] [--vcd out.vcd] [--dump-mem A..B] \
-         [--json report.json] [--budget N (max {MAX_BUDGET})] [--cache cache.json]"
+         [--json report.json] [--budget N (max {MAX_BUDGET})]"
     )
 }
 
@@ -84,7 +82,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
         dump: None,
         json: None,
         budget: 256,
-        cache: None,
     };
     let mut seen: Vec<String> = Vec::new();
     while let Some(flag) = argv.next() {
@@ -133,7 +130,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
                     ));
                 }
             }
-            "--cache" => args.cache = Some(value()?),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
@@ -182,14 +178,9 @@ mod tests {
         let a = parse(&["dse", "k.loop"]).unwrap();
         assert_eq!(a.command, "dse");
         assert_eq!(a.budget, 256);
-        assert_eq!(a.cache, None);
 
-        let a = parse(&[
-            "dse", "k.loop", "--budget", "64", "--cache", "c.json", "--seed", "3",
-        ])
-        .unwrap();
+        let a = parse(&["dse", "k.loop", "--budget", "64", "--seed", "3"]).unwrap();
         assert_eq!(a.budget, 64);
-        assert_eq!(a.cache.as_deref(), Some("c.json"));
         assert_eq!(a.seed, 3);
 
         assert!(parse(&["dse", "k.loop", "--budget", "0"])
@@ -235,9 +226,10 @@ mod tests {
                 .dump,
             Some((3, 3))
         );
-        assert!(parse(&["run", "k.loop", "--frobnicate"])
-            .unwrap_err()
-            .starts_with("unknown flag --frobnicate"));
+        for flag in ["--frobnicate", "--cache"] {
+            let e = parse(&["run", "k.loop", flag]).unwrap_err();
+            assert!(e.starts_with(&format!("unknown flag {flag}")), "{e}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::io::Write as _;
 use std::process::Command;
-use uecgra_dse::CACHE_FORMAT_VERSION;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_uecgra")
@@ -196,6 +195,14 @@ fn unknown_flags_are_rejected() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    // The DSE memo lives for one process; there is no cache file.
+    let out = Command::new(bin())
+        .args(["dse", src.to_str().unwrap(), "--cache", "c.json"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag --cache"), "{stderr}");
 }
 
 #[test]
@@ -307,25 +314,13 @@ fn loops_too_short_to_power_map_are_an_error_not_a_panic() {
 fn deeply_nested_json_is_an_error_not_an_abort() {
     let deep = std::env::temp_dir().join("uecgra_cli_deep.json");
     std::fs::write(&deep, "[".repeat(100_000)).expect("write");
-    let src = write_source("uecgra_cli_deep_cache.loop", ACCUMULATE);
-    let commands: [&[&str]; 2] = [
-        &["check-report", deep.to_str().unwrap()],
-        &[
-            "dse",
-            src.to_str().unwrap(),
-            "--cache",
-            deep.to_str().unwrap(),
-        ],
-    ];
-    for command in commands {
-        let out = Command::new(bin())
-            .args(command)
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
-        assert!(stderr.contains("nest deeper than"), "{command:?}: {stderr}");
-    }
+    let out = Command::new(bin())
+        .args(["check-report", deep.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nest deeper than"), "{stderr}");
 }
 
 #[test]
@@ -364,82 +359,4 @@ fn deeply_nested_loop_sources_are_an_error_not_an_abort() {
         assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
         assert!(stderr.contains(expect), "{name}: {stderr}");
     }
-}
-
-#[test]
-fn out_of_range_cache_values_are_an_error_and_leave_the_cache_alone() {
-    let src = write_source("uecgra_cli_range_cache.loop", ACCUMULATE);
-    let cache = std::env::temp_dir().join("uecgra_cli_range_cache.json");
-    let _ = std::fs::remove_file(&cache);
-    let dse = || {
-        Command::new(bin())
-            .args(["dse", src.to_str().unwrap(), "--budget", "8", "--cache"])
-            .arg(&cache)
-            .output()
-            .expect("binary runs")
-    };
-    let out = dse();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let good = std::fs::read_to_string(&cache).expect("cache written");
-    let cases = [
-        ("energy_per_iter", "1e999", "number `1e999` is out of range"),
-        (
-            "throughput",
-            "-1",
-            "throughput -1 is not a finite positive number",
-        ),
-    ];
-    for (field, value, expect) in cases {
-        // Replace the first entry's value of `field`.
-        let at = good.find(&format!("\"{field}\": ")).expect("field present") + field.len() + 4;
-        let end = at + good[at..].find([',', '\n']).expect("value ends");
-        let bad = format!("{}{value}{}", &good[..at], &good[end..]);
-        std::fs::write(&cache, &bad).expect("write");
-        let out = dse();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{field} {value}: {stderr}");
-        assert!(stderr.contains(expect), "{field} {value}: {stderr}");
-        let after = std::fs::read_to_string(&cache).expect("cache kept");
-        assert_eq!(after, bad, "{field} {value}: the cache file was rewritten");
-    }
-}
-
-#[test]
-fn version_1_cache_files_are_an_error_and_left_alone() {
-    let src = write_source("uecgra_cli_v1_cache.loop", ACCUMULATE);
-    let cache = std::env::temp_dir().join("uecgra_cli_v1_cache.json");
-    let _ = std::fs::remove_file(&cache);
-    let dse = || {
-        Command::new(bin())
-            .args(["dse", src.to_str().unwrap(), "--budget", "8", "--cache"])
-            .arg(&cache)
-            .output()
-            .expect("binary runs")
-    };
-    let out = dse();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The same entries under the version-1 stamp: their keys were
-    // derived the old way, so loading them would only add dead entries.
-    let current = format!("\"cache_format_version\": {CACHE_FORMAT_VERSION}");
-    let good = std::fs::read_to_string(&cache).expect("cache written");
-    assert!(good.contains(&current), "{good}");
-    let old = good.replace(&current, "\"cache_format_version\": 1");
-    std::fs::write(&cache, &old).expect("write");
-    let out = dse();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("unsupported cache format version 1"),
-        "{stderr}"
-    );
-    let after = std::fs::read(&cache).expect("cache kept");
-    assert_eq!(after, old.as_bytes(), "the cache file was rewritten");
 }

@@ -1,23 +1,15 @@
-//! Canonical evaluation-cache keys.
+//! Evaluation-cache keys.
 //!
-//! A cache key must identify one `(DFG, memory image, marker, routed
-//! edge latencies, model parameters, mode assignment)` evaluation
-//! exactly, and nothing else — two configurations that the analytical
-//! model cannot distinguish must hash equal, and any change the model
-//! *can* observe must change the key (invalidation by construction:
-//! there is no version counter to forget to bump).
+//! A cache key identifies one `(DFG, memory image, marker, routed edge
+//! latencies, window, mode assignment)` evaluation within one process.
+//! It covers only what can differ between two `explore` calls there;
+//! values fixed in the binary (the clock plan, the energy constants,
+//! the model's code) are not hashed, so a key means nothing to a
+//! different build and the cache never outlives the process.
 //!
-//! Key derivation therefore goes through the `uecgra-probe` canonical
-//! JSON serializer: the configuration is described as a [`Json`]
-//! value, *normalized* (object fields sorted by name, so the key is
-//! independent of struct-field or insertion order), rendered to its
-//! canonical byte string, and digested with two independently seeded
-//! SplitMix64-mix lanes into a 128-bit [`Digest`]. Floats render with
-//! Rust's shortest-round-trip formatting, so the byte stream — and
-//! hence the key — is identical on every platform, thread count, and
-//! run.
-
-use uecgra_probe::Json;
+//! A key digests a byte stream with two independently seeded
+//! SplitMix64-mix lanes into a 128-bit [`Digest`], so it is identical
+//! on every platform, thread count and run.
 
 /// A 128-bit content digest (two independent 64-bit mix lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,16 +22,6 @@ impl std::fmt::Display for Digest {
 }
 
 impl Digest {
-    /// Parse the 32-hex-digit rendering produced by `Display`.
-    pub fn parse(s: &str) -> Option<Digest> {
-        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        let hi = u64::from_str_radix(&s[..16], 16).ok()?;
-        let lo = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(Digest(hi, lo))
-    }
-
     /// The digest as one 128-bit integer (HashMap key form).
     pub fn as_u128(self) -> u128 {
         (u128::from(self.0) << 64) | u128::from(self.1)
@@ -81,32 +63,6 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
     Digest(lanes[0], lanes[1])
 }
 
-/// Recursively sort every object's fields by key. The canonical
-/// writer preserves insertion order, so normalizing before rendering
-/// is what makes the digest independent of how a configuration
-/// description happened to be assembled (struct-field reordering,
-/// builder-call order, …).
-pub fn normalize(v: &Json) -> Json {
-    match v {
-        Json::Array(items) => Json::Array(items.iter().map(normalize).collect()),
-        Json::Object(fields) => {
-            let mut sorted: Vec<(String, Json)> = fields
-                .iter()
-                .map(|(k, x)| (k.clone(), normalize(x)))
-                .collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Json::Object(sorted)
-        }
-        other => other.clone(),
-    }
-}
-
-/// Digest a JSON value: normalize, render canonically, digest the
-/// bytes.
-pub fn digest_json(v: &Json) -> Digest {
-    digest_bytes(normalize(v).render().as_bytes())
-}
-
 /// Combine two digests into one (order-sensitive).
 pub fn combine(a: Digest, b: Digest) -> Digest {
     Digest(
@@ -119,50 +75,27 @@ pub fn combine(a: Digest, b: Digest) -> Digest {
 mod tests {
     use super::*;
 
-    #[test]
-    fn digest_renders_and_parses() {
-        let d = digest_bytes(b"hello");
-        let s = d.to_string();
-        assert_eq!(s.len(), 32);
-        assert_eq!(Digest::parse(&s), Some(d));
-        assert_eq!(Digest::parse("zz"), None);
+    fn words(ws: &[u64]) -> Digest {
+        let bytes: Vec<u8> = ws.iter().flat_map(|w| w.to_le_bytes()).collect();
+        digest_bytes(&bytes)
     }
 
     #[test]
-    fn field_order_does_not_matter() {
-        let a = Json::object(vec![
-            ("alpha", Json::Uint(1)),
-            ("beta", Json::Float(2.5)),
-            (
-                "nested",
-                Json::object(vec![("x", Json::Uint(7)), ("y", Json::Uint(8))]),
-            ),
-        ]);
-        let b = Json::object(vec![
-            (
-                "nested",
-                Json::object(vec![("y", Json::Uint(8)), ("x", Json::Uint(7))]),
-            ),
-            ("beta", Json::Float(2.5)),
-            ("alpha", Json::Uint(1)),
-        ]);
-        assert_eq!(digest_json(&a), digest_json(&b));
+    fn digest_renders_as_32_hex_digits() {
+        let s = digest_bytes(b"hello").to_string();
+        assert_eq!(s.len(), 32);
+        assert!(s.bytes().all(|b| b.is_ascii_hexdigit()), "{s}");
     }
 
     #[test]
     fn value_changes_change_the_digest() {
-        let base = Json::object(vec![("alpha", Json::Uint(1))]);
-        let other = Json::object(vec![("alpha", Json::Uint(2))]);
-        let renamed = Json::object(vec![("alphb", Json::Uint(1))]);
-        assert_ne!(digest_json(&base), digest_json(&other));
-        assert_ne!(digest_json(&base), digest_json(&renamed));
+        assert_ne!(words(&[1]), words(&[2]));
+        assert_ne!(words(&[1, 0]), words(&[1, 1 << 63]));
     }
 
     #[test]
     fn array_order_does_matter() {
-        let a = Json::Array(vec![Json::Uint(1), Json::Uint(2)]);
-        let b = Json::Array(vec![Json::Uint(2), Json::Uint(1)]);
-        assert_ne!(digest_json(&a), digest_json(&b));
+        assert_ne!(words(&[1, 2]), words(&[2, 1]));
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! The paper's power-mapping pass (Section III) commits to a single
 //! greedy per-PE VF-mode assignment. This crate searches *beyond* that
 //! pass: it explores the grouped assignment space through the
-//! analytical model, memoizes every measurement in a canonical-hash
-//! [`EvalCache`] (optionally persisted to disk in `uecgra-probe`
-//! canonical JSON), and returns the Pareto frontier over
-//! (delay, energy, EDP) with the greedy result as a baseline the
-//! frontier dominates or matches by construction.
+//! analytical model, memoizes every measurement in a digest-keyed
+//! [`EvalCache`] that lives for one process, and returns the Pareto
+//! frontier over (delay, energy, EDP) with the greedy result as a
+//! baseline the frontier dominates or matches by construction.
 //!
 //! Everything is bit-identical across `UECGRA_THREADS` settings and
 //! across cold vs warm caches: search decisions run on the calling
@@ -15,9 +14,9 @@
 //!
 //! Modules:
 //!
-//! * [`key`] — canonical 128-bit cache keys via the normalized probe
-//!   JSON serializer (invalidation by construction).
-//! * [`cache`] — the thread-safe memo table and its on-disk form.
+//! * [`key`] — 128-bit cache keys over what differs between calls in
+//!   one process.
+//! * [`cache`] — the thread-safe memo table.
 //! * [`pareto`] — dominance and frontier extraction.
 //! * [`search`] — the explorer (pruned exhaustive / seeded hill-climb).
 //! * [`rtl_check`] — cycle-level cross-check of chosen points.
@@ -30,8 +29,8 @@ pub mod pareto;
 pub mod rtl_check;
 pub mod search;
 
-pub use cache::{EvalCache, CACHE_FORMAT_VERSION};
-pub use key::{combine, digest_bytes, digest_json, Digest};
+pub use cache::EvalCache;
+pub use key::{combine, digest_bytes, Digest};
 pub use pareto::{dominates, modes_string, pareto_frontier, DsePoint};
 pub use rtl_check::rtl_crosscheck;
 pub use search::{

@@ -33,15 +33,13 @@
 //! never values).
 
 use crate::cache::EvalCache;
-use crate::key::{combine, digest_bytes, digest_json, Digest};
+use crate::key::{combine, digest_bytes, Digest};
 use crate::pareto::{modes_string, pareto_frontier, DsePoint};
 use std::collections::HashMap;
-use uecgra_clock::{ClockSet, VfMode};
+use uecgra_clock::VfMode;
 use uecgra_dfg::analysis::Grouping;
-use uecgra_dfg::{Dfg, NodeId, ALPHA_SRAM};
-use uecgra_model::params::{BETA, GAMMA};
+use uecgra_dfg::{Dfg, NodeId};
 use uecgra_model::{EnergyDelay, EnergyDelayEstimator};
-use uecgra_probe::Json;
 use uecgra_util::SplitMix64;
 
 /// Hill-climb restarts (the exhaustive strategy has none).
@@ -126,10 +124,12 @@ impl DseOutcome {
     }
 }
 
-/// Digest the full evaluation configuration — everything the
-/// analytical model can observe besides the mode assignment. Combined
-/// with a per-candidate modes digest this forms the cache key, so any
-/// observable config change invalidates by construction.
+/// Digest the evaluation configuration: everything besides the mode
+/// assignment that can differ between two [`explore`] calls in one
+/// process. Combined with a per-candidate modes digest this forms the
+/// cache key. Values fixed in the binary (the clock plan, the energy
+/// constants, the model itself) are not hashed, so a key is only good
+/// within the process that made it.
 pub fn config_digest(
     dfg: &Dfg,
     mem: &[u32],
@@ -137,77 +137,37 @@ pub fn config_digest(
     extra_hops: &[u32],
     iterations: u64,
 ) -> Digest {
-    let nodes: Vec<Json> = dfg
-        .nodes()
-        .map(|(_, n)| {
-            Json::object(vec![
-                ("op", Json::Str(n.op.mnemonic().into())),
-                ("constant", opt_u32(n.constant)),
-                ("init", opt_u32(n.init)),
-            ])
-        })
-        .collect();
-    let edges: Vec<Json> = dfg
-        .edges()
-        .map(|(_, e)| {
-            Json::Array(vec![
-                Json::Uint(e.src.index() as u64),
-                Json::Uint(e.src_port as u64),
-                Json::Uint(e.dst.index() as u64),
-                Json::Uint(e.dst_port as u64),
-            ])
-        })
-        .collect();
-    // The memory image can be tens of KiB; fold it to its own digest
-    // rather than embedding every word in the JSON description.
-    let mem_bytes: Vec<u8> = mem.iter().flat_map(|w| w.to_le_bytes()).collect();
-    // The estimator runs on the default clock plan.
-    let clocks = ClockSet::default();
-    let doc = Json::object(vec![
-        (
-            "clocks",
-            Json::Array(
-                [VfMode::Rest, VfMode::Nominal, VfMode::Sprint]
-                    .iter()
-                    .map(|&m| Json::Uint(clocks.divisor(m) as u64))
-                    .collect(),
-            ),
-        ),
-        ("edges", Json::Array(edges)),
-        (
-            "extra_hops",
-            Json::Array(extra_hops.iter().map(|&h| Json::Uint(h as u64)).collect()),
-        ),
-        ("iterations", Json::Uint(iterations)),
-        ("marker", Json::Uint(marker.index() as u64)),
-        ("mem", Json::Str(digest_bytes(&mem_bytes).to_string())),
-        ("nodes", Json::Array(nodes)),
-        (
-            "params",
-            Json::object(vec![
-                ("alpha_sram", Json::Float(ALPHA_SRAM)),
-                ("beta", Json::Float(BETA)),
-                ("gamma", Json::Float(GAMMA)),
-                (
-                    "voltages",
-                    Json::Array(
-                        VfMode::ALL
-                            .iter()
-                            .map(|m| Json::Float(m.voltage()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-    ]);
-    digest_json(&doc)
-}
-
-fn opt_u32(v: Option<u32>) -> Json {
-    match v {
-        None => Json::Null,
-        Some(x) => Json::Uint(x as u64),
+    // Little-endian 64-bit words (the memory image as 32-bit words);
+    // every list is prefixed by its length, so two configurations never
+    // share a stream.
+    fn put(bytes: &mut Vec<u8>, word: u64) {
+        bytes.extend_from_slice(&word.to_le_bytes());
     }
+    let opt = |v: Option<u32>| v.map_or(u64::MAX, u64::from);
+    let words = 6 + 3 * dfg.node_count() + 4 * dfg.edge_count() + extra_hops.len();
+    let mut bytes = Vec::with_capacity(8 * words + 4 * mem.len());
+    put(&mut bytes, dfg.node_count() as u64);
+    for (_, n) in dfg.nodes() {
+        put(&mut bytes, n.op as u64);
+        put(&mut bytes, opt(n.constant));
+        put(&mut bytes, opt(n.init));
+    }
+    put(&mut bytes, dfg.edge_count() as u64);
+    for (_, e) in dfg.edges() {
+        put(&mut bytes, e.src.index() as u64);
+        put(&mut bytes, e.src_port.into());
+        put(&mut bytes, e.dst.index() as u64);
+        put(&mut bytes, e.dst_port.into());
+    }
+    put(&mut bytes, extra_hops.len() as u64);
+    for &h in extra_hops {
+        put(&mut bytes, h.into());
+    }
+    put(&mut bytes, marker.index() as u64);
+    put(&mut bytes, iterations);
+    put(&mut bytes, mem.len() as u64);
+    bytes.extend(mem.iter().flat_map(|w| w.to_le_bytes()));
+    digest_bytes(&bytes)
 }
 
 /// The cache key of one candidate: config digest ⊕ modes digest.
@@ -315,8 +275,8 @@ fn cost_lt(a: (f64, f64), b: (f64, f64)) -> bool {
 /// `extra_hops` carries routed per-edge bypass hops (empty for the
 /// logical graph), exactly as
 /// [`power_map_routed`](uecgra_compiler::power_map::power_map_routed)
-/// takes them. Measurements go through `cache`; pass a freshly loaded
-/// cache for warm reruns.
+/// takes them. Measurements go through `cache`; pass the same cache
+/// again for a warm rerun.
 ///
 /// # Panics
 ///
@@ -522,7 +482,7 @@ mod tests {
     use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
     use uecgra_compiler::power_map::{power_map_with, Objective};
     use uecgra_dfg::kernels::{dither, llist, synthetic};
-    use uecgra_dfg::Kernel;
+    use uecgra_dfg::{Kernel, Op};
 
     fn run(cfg: &DseConfig) -> DseOutcome {
         let toy = synthetic::fig2_toy();
@@ -680,9 +640,26 @@ mod tests {
         let other_mem = config_digest(&toy.dfg, &[1; 16], toy.iter_marker, &[], 96);
         let other_iters = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[], 48);
         let other_hops = config_digest(&toy.dfg, &[0; 16], toy.iter_marker, &[1], 96);
+        let other_marker = config_digest(&toy.dfg, &[0; 16], toy.cycle[1], &[], 96);
+        let mut dfg = toy.dfg.clone();
+        dfg.node_mut(toy.cycle[2]).constant = Some(2);
+        let other_constant = config_digest(&dfg, &[0; 16], toy.iter_marker, &[], 96);
         assert_ne!(base, other_mem);
         assert_ne!(base, other_iters);
         assert_ne!(base, other_hops);
+        assert_ne!(base, other_marker);
+        assert_ne!(base, other_constant);
+        // The same edges into a subtraction, operands swapped.
+        let sub = |ports: [u8; 2]| {
+            let mut g = Dfg::new();
+            let x = g.add_node(Op::Source, "x").id();
+            let y = g.add_node(Op::Source, "y").id();
+            let d = g.add_node(Op::Sub, "d").id();
+            g.connect_ports(x, 0, d, ports[0]);
+            g.connect_ports(y, 0, d, ports[1]);
+            config_digest(&g, &[0; 16], d, &[], 96)
+        };
+        assert_ne!(sub([0, 1]), sub([1, 0]));
         // And it is stable across calls.
         assert_eq!(
             base,

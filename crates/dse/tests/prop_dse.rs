@@ -2,11 +2,8 @@
 //! cache-key stability.
 
 use uecgra_clock::VfMode;
-use uecgra_dse::{
-    candidate_key, config_digest, digest_json, dominates, pareto_frontier, DsePoint, EvalCache,
-};
+use uecgra_dse::{candidate_key, config_digest, dominates, pareto_frontier, DsePoint};
 use uecgra_model::EnergyDelay;
-use uecgra_probe::Json;
 use uecgra_util::check::forall;
 use uecgra_util::{par_tabulate, SplitMix64};
 
@@ -65,54 +62,6 @@ fn every_dropped_point_is_dominated_or_duplicated() {
     });
 }
 
-fn random_json(rng: &mut SplitMix64, depth: usize) -> Json {
-    match if depth == 0 {
-        rng.range(4)
-    } else {
-        rng.range(6)
-    } {
-        0 => Json::Null,
-        1 => Json::Bool(rng.bool()),
-        2 => Json::Uint(rng.next_u64() >> rng.range(64)),
-        3 => Json::Float((rng.next_u32() as f64) / 257.0),
-        4 => Json::Array(
-            (0..rng.range(4))
-                .map(|_| random_json(rng, depth - 1))
-                .collect(),
-        ),
-        _ => Json::Object(
-            (0..rng.range(4))
-                .map(|i| (format!("field{i}"), random_json(rng, depth - 1)))
-                .collect(),
-        ),
-    }
-}
-
-/// Fisher–Yates with the property RNG.
-fn shuffled<T: Clone>(rng: &mut SplitMix64, items: &[T]) -> Vec<T> {
-    let mut v = items.to_vec();
-    for i in (1..v.len()).rev() {
-        v.swap(i, rng.range(i + 1));
-    }
-    v
-}
-
-#[test]
-fn cache_keys_ignore_object_field_order() {
-    forall(200, |rng| {
-        let fields: Vec<(String, Json)> = (0..2 + rng.range(6))
-            .map(|i| (format!("k{i}"), random_json(rng, 2)))
-            .collect();
-        let a = Json::Object(fields.clone());
-        let b = Json::Object(shuffled(rng, &fields));
-        assert_eq!(
-            digest_json(&a),
-            digest_json(&b),
-            "field order leaked into the digest"
-        );
-    });
-}
-
 #[test]
 fn cache_keys_are_stable_across_threads_and_runs() {
     let toy = uecgra_dfg::kernels::synthetic::fig2_toy();
@@ -141,35 +90,4 @@ fn cache_keys_are_stable_across_threads_and_runs() {
     sorted.sort();
     sorted.dedup();
     assert_eq!(sorted.len(), reference.len(), "key collision across modes");
-}
-
-#[test]
-fn cache_round_trip_is_byte_stable_under_insertion_order() {
-    forall(50, |rng| {
-        let entries: Vec<(u64, f64, f64)> = (0..1 + rng.range(16))
-            .map(|i| {
-                (
-                    i as u64,
-                    1.0 / (1.0 + rng.range(9) as f64),
-                    (rng.next_u32() as f64) / 65536.0,
-                )
-            })
-            .collect();
-        let build = |order: &[(u64, f64, f64)]| {
-            let c = EvalCache::new();
-            for &(i, t, e) in order {
-                c.insert(
-                    uecgra_dse::digest_bytes(&i.to_le_bytes()),
-                    EnergyDelay {
-                        throughput: t,
-                        energy_per_iter: e,
-                    },
-                );
-            }
-            c.to_json().render()
-        };
-        let a = build(&entries);
-        let b = build(&shuffled(rng, &entries));
-        assert_eq!(a, b, "insertion order leaked into the cache file");
-    });
 }

@@ -10,8 +10,8 @@
 
 use std::fmt::Write as _;
 
-/// Deepest array/object nesting the parser accepts. Reports and cache
-/// files nest under 10 levels; the cap turns a hostile document into a
+/// Deepest array/object nesting the parser accepts. Reports nest
+/// under 10 levels; the cap turns a hostile document into a
 /// [`JsonError`] instead of a stack overflow in the recursive parser.
 const MAX_DEPTH: usize = 256;
 

@@ -10,29 +10,14 @@
 
 use crate::isa::{AluOp, BranchOp, Instr, MulOp};
 
-/// Timing parameters of the in-order pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingParams {
-    /// Extra cycles after a taken branch or jump (fetch redirect).
-    pub branch_taken_penalty: u64,
-    /// Bubble between a load and an immediately dependent use.
-    pub load_use_bubble: u64,
-    /// Total occupancy of a multiply (1 = fully pipelined).
-    pub mul_cycles: u64,
-    /// Total occupancy of a divide/remainder.
-    pub div_cycles: u64,
-}
-
-impl Default for TimingParams {
-    fn default() -> Self {
-        TimingParams {
-            branch_taken_penalty: 2,
-            load_use_bubble: 1,
-            mul_cycles: 3,
-            div_cycles: 16,
-        }
-    }
-}
+/// Extra cycles after a taken branch or jump (fetch redirect).
+const BRANCH_TAKEN_PENALTY: u64 = 2;
+/// Bubble between a load and an immediately dependent use.
+const LOAD_USE_BUBBLE: u64 = 1;
+/// Total occupancy of a multiply (1 = fully pipelined).
+const MUL_CYCLES: u64 = 3;
+/// Total occupancy of a divide/remainder.
+const DIV_CYCLES: u64 = 16;
 
 /// Dynamic instruction counts by class (for energy estimation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,7 +98,6 @@ pub struct Cpu {
     dmem: Vec<u32>,
     regs: [u32; 32],
     pc: u32,
-    timing: TimingParams,
     max_instrs: u64,
 }
 
@@ -125,7 +109,6 @@ impl Cpu {
             dmem,
             regs: [0; 32],
             pc: 0,
-            timing: TimingParams::default(),
             max_instrs: 200_000_000,
         }
     }
@@ -189,7 +172,6 @@ impl Cpu {
     }
 
     fn run_inner(mut self, mut trace: Option<&mut Vec<TraceEntry>>) -> Result<RunResult, CpuError> {
-        let t = self.timing;
         let mut cycles: u64 = 0;
         let mut mix = InstrMix::default();
         let mut last_load_rd: Option<u8> = None;
@@ -212,7 +194,7 @@ impl Cpu {
             // sources the previous load's destination.
             if let Some(rd) = last_load_rd.take() {
                 if rd != 0 && instr.sources().contains(&Some(rd)) {
-                    cycles += t.load_use_bubble;
+                    cycles += LOAD_USE_BUBBLE;
                 }
             }
 
@@ -226,14 +208,14 @@ impl Cpu {
                     mix.branch += 1;
                     self.set_reg(rd, next_pc);
                     next_pc = self.pc.wrapping_add(offset as u32);
-                    cycles += t.branch_taken_penalty;
+                    cycles += BRANCH_TAKEN_PENALTY;
                 }
                 Instr::Jalr { rd, rs1, offset } => {
                     mix.branch += 1;
                     let target = self.regs[rs1 as usize].wrapping_add(offset as u32) & !1;
                     self.set_reg(rd, next_pc);
                     next_pc = target;
-                    cycles += t.branch_taken_penalty;
+                    cycles += BRANCH_TAKEN_PENALTY;
                 }
                 Instr::Branch {
                     op,
@@ -254,7 +236,7 @@ impl Cpu {
                     };
                     if taken {
                         next_pc = self.pc.wrapping_add(offset as u32);
-                        cycles += t.branch_taken_penalty;
+                        cycles += BRANCH_TAKEN_PENALTY;
                     }
                 }
                 Instr::Lw { rd, rs1, offset } => {
@@ -289,11 +271,11 @@ impl Cpu {
                     match op {
                         MulOp::Mul | MulOp::Mulh | MulOp::Mulhsu | MulOp::Mulhu => {
                             mix.mul += 1;
-                            cycles += t.mul_cycles - 1;
+                            cycles += MUL_CYCLES - 1;
                         }
                         _ => {
                             mix.div += 1;
-                            cycles += t.div_cycles - 1;
+                            cycles += DIV_CYCLES - 1;
                         }
                     }
                 }

@@ -35,7 +35,7 @@ pub mod ooo;
 pub mod programs;
 
 pub use asm::Assembler;
-pub use cpu::{Cpu, CpuError, InstrMix, RunResult, TimingParams, TraceEntry};
+pub use cpu::{Cpu, CpuError, InstrMix, RunResult, TraceEntry};
 pub use isa::{AluOp, BranchOp, Instr, MulOp};
 pub use offload::{
     core_energy_pj, system_efficiency, system_speedup, CoreEnergyParams, OffloadOverheads,
